@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"psgc/internal/gclang"
 	"psgc/internal/gen"
 	"psgc/internal/regions"
 	"psgc/internal/source"
@@ -130,6 +131,86 @@ func TestCoCheckValidatesArena(t *testing.T) {
 		}
 		if res != plain {
 			t.Errorf("%s: co-checked result %+v, plain arena %+v", col, res, plain)
+		}
+	}
+}
+
+// TestTracedCoCheckedRunReplays pins the traced-run contract the
+// benchmark harnesses rely on: a co-checked arena run with WrapStore
+// interposing regions.NewTrace stays clean and returns the plain arena
+// run's Result, only the arena machine's store is wrapped (never the map
+// oracle's), and the recorded op sequence replays without error on fresh
+// map and arena stores — cd re-seeded first, since the machine loads its
+// code before the wrapper attaches — which both end with the recorded
+// store's Stats.
+func TestTracedCoCheckedRunReplays(t *testing.T) {
+	const capacity = 32
+	for _, col := range allCollectors {
+		c, err := Compile(workload.AllocHeavySrc(30), col)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", col, err)
+		}
+		var tr *regions.Trace[gclang.Cell]
+		var wrapped []regions.Backend
+		var div *Divergence
+		res, err := c.Run(RunOptions{
+			Capacity: capacity,
+			Backend:  regions.BackendArena,
+			CoCheck:  true,
+			OnDivergence: func(d Divergence) {
+				if div == nil {
+					div = &d
+				}
+			},
+			WrapStore: func(s regions.Store[gclang.Cell]) regions.Store[gclang.Cell] {
+				wrapped = append(wrapped, s.Backend())
+				tr = regions.NewTrace(s)
+				return tr
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: traced run: %v", col, err)
+		}
+		if div != nil {
+			t.Fatalf("%s: traced arena diverged from map oracle: %v", col, *div)
+		}
+		plain, err := c.Run(RunOptions{Capacity: capacity, Backend: regions.BackendArena})
+		if err != nil {
+			t.Fatalf("%s: plain run: %v", col, err)
+		}
+		if res != plain {
+			t.Errorf("%s: traced co-checked result %+v, plain arena %+v", col, res, plain)
+		}
+		if len(wrapped) != 1 || wrapped[0] != regions.BackendArena {
+			t.Fatalf("%s: WrapStore wrapped stores on %v; want only the arena machine's", col, wrapped)
+		}
+		if len(tr.Ops) == 0 {
+			t.Fatalf("%s: trace recorded no ops", col)
+		}
+
+		cdSize := tr.Inner.Size(regions.CD)
+		var stats []regions.Stats
+		for _, be := range regions.Backends() {
+			s := regions.NewStore[gclang.Cell](be, capacity)
+			s.SetAutoGrow(true)
+			for off := 0; off < cdSize; off++ {
+				if v, ok := tr.Inner.Peek(regions.Addr{Region: regions.CD, Off: off}); ok {
+					s.Put(regions.CD, v)
+				}
+			}
+			if err := regions.Replay(tr.Ops, s); err != nil {
+				t.Fatalf("%s: replay on %s: %v", col, be, err)
+			}
+			stats = append(stats, s.Stats())
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s: replayed stats differ:\n  map   %+v\n  arena %+v", col, stats[0], stats[1])
+		}
+		// The recorded store's own counters, not res.Stats: the trace also
+		// holds the co-checker's halt-time heap walk, whose reads count as
+		// Gets after the Result is snapshotted.
+		if want := tr.Inner.Stats(); stats[0] != want {
+			t.Errorf("%s: replayed stats %+v, recorded store %+v", col, stats[0], want)
 		}
 	}
 }

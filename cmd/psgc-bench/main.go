@@ -18,8 +18,6 @@
 //	                      adds a direct-vs-gate latency comparison plus the
 //	                      gate's routing counters (retries, rebalances, peer
 //	                      cache tier).
-//	-snapshot PATH        write a JSON snapshot of the E1 workload under both
-//	                      engines (the CI BENCH_4.json artifact) and exit
 //	-snapshot-backend PATH  write a JSON snapshot comparing the map and arena
 //	                      memory backends on the E1 workload — whole-run rows
 //	                      with bit-for-bit counter identities, a co-check
@@ -33,13 +31,6 @@
 //	                      overhead on E1 and the adaptive policy measured
 //	                      against every static collector on the mixed
 //	                      workloads (the CI BENCH_8.json artifact) and exit
-//	-snapshot-cells PATH  write a JSON snapshot comparing the packed cell
-//	                      representation against the boxed baseline machine
-//	                      on the E1 workload — boxed-vs-packed rows per
-//	                      collector × capacity × backend, bit-for-bit
-//	                      counter identities, a co-check verification, and
-//	                      the zero-allocation gates (the CI BENCH_9.json
-//	                      artifact) — and exit
 package main
 
 import (
@@ -55,15 +46,12 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"testing"
-
 	"time"
 
 	"psgc"
 	"psgc/internal/baseline"
 	"psgc/internal/gclang"
 	"psgc/internal/gen"
-	"psgc/internal/names"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
 	"psgc/internal/regions"
@@ -103,11 +91,9 @@ func main() {
 	remoteURL := flag.String("remote", "", "base URL of a running psgc-served; drives the experiment suite over HTTP with latency percentiles")
 	gateURL := flag.String("gate", "", "base URL of a psgc-gate fleet front; a remote target on its own, a direct-vs-gate comparison with -remote")
 	flag.IntVar(&remoteRetries, "retries", 4, "retry budget per remote request on 429/503/transport errors (jittered backoff, honors Retry-After)")
-	snapshot := flag.String("snapshot", "", "write a JSON snapshot of the E1 workload under both engines to this path and exit")
 	backendSnapshot := flag.String("snapshot-backend", "", "write a JSON snapshot comparing the map and arena backends on the E1 workload to this path and exit")
 	fleetSnapshot := flag.String("snapshot-fleet", "", "write a fleet-mode JSON snapshot (latency percentiles through -gate or -remote) to this path and exit")
 	policySnapshot := flag.String("snapshot-policy", "", "write a JSON snapshot of profiling overhead and adaptive-vs-static policy to this path and exit")
-	cellsSnapshot := flag.String("snapshot-cells", "", "write a JSON snapshot comparing the packed cell representation against the boxed baseline to this path and exit")
 	flag.Parse()
 	var err error
 	if runEngine, err = psgc.ParseEngine(*engineName); err != nil {
@@ -115,12 +101,6 @@ func main() {
 	}
 	if runBackend, err = regions.ParseBackend(*backendName); err != nil {
 		log.Fatal(err)
-	}
-	if *snapshot != "" {
-		if err := writeSnapshot(*snapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 	if *backendSnapshot != "" {
 		if err := writeBackendSnapshot(*backendSnapshot); err != nil {
@@ -130,12 +110,6 @@ func main() {
 	}
 	if *policySnapshot != "" {
 		if err := writePolicySnapshot(*policySnapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *cellsSnapshot != "" {
-		if err := writeCellsSnapshot(*cellsSnapshot); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -969,90 +943,6 @@ func gateMetricsJSON(gateURL string) (json.RawMessage, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 }
 
-// snapshotRow is one E1 configuration measured under one engine.
-type snapshotRow struct {
-	Capacity    int     `json:"capacity"`
-	Collector   string  `json:"collector"`
-	Engine      string  `json:"engine"`
-	Value       int     `json:"value"`
-	ResultOK    bool    `json:"result_ok"`
-	Steps       int     `json:"steps"`
-	Collections int     `json:"collections"`
-	Puts        int     `json:"puts"`
-	Reclaimed   int     `json:"reclaimed"`
-	MaxLive     int     `json:"max_live"`
-	RunMs       float64 `json:"run_ms"`
-}
-
-type snapshotFile struct {
-	Experiment string `json:"experiment"`
-	Workload   string `json:"workload"`
-	// EnvSpeedupGeomean is the geometric mean over configurations of
-	// subst-run-ms / env-run-ms (best of three runs each).
-	EnvSpeedupGeomean float64       `json:"env_speedup_geomean"`
-	Rows              []snapshotRow `json:"rows"`
-}
-
-// writeSnapshot runs the E1 workload under both engines and writes the
-// BENCH_4.json artifact: per-configuration stats plus the headline
-// env-over-subst speedup.
-func writeSnapshot(path string) error {
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	snap := snapshotFile{Experiment: "e1", Workload: "allocHeavy (build 60)"}
-	logSum, logN := 0.0, 0
-	for _, capacity := range []int{16, 32, 64, 128} {
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				return err
-			}
-			var pair [2]float64 // best-of-3 ms, indexed by engine
-			for _, eng := range []psgc.Engine{psgc.EngineEnv, psgc.EngineSubst} {
-				best := math.Inf(1)
-				var res psgc.Result
-				for rep := 0; rep < 3; rep++ {
-					t0 := time.Now()
-					res, err = c.Run(psgc.RunOptions{Capacity: capacity, Engine: eng})
-					if err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
-						best = ms
-					}
-				}
-				pair[eng] = best
-				snap.Rows = append(snap.Rows, snapshotRow{
-					Capacity: capacity, Collector: col.String(), Engine: eng.String(),
-					Value: res.Value, ResultOK: res.Value == want,
-					Steps: res.Steps, Collections: res.Collections,
-					Puts: res.Stats.Puts, Reclaimed: res.Stats.CellsReclaimed,
-					MaxLive: res.Stats.MaxLiveCells, RunMs: best,
-				})
-			}
-			if pair[psgc.EngineEnv] > 0 {
-				logSum += math.Log(pair[psgc.EngineSubst] / pair[psgc.EngineEnv])
-				logN++
-			}
-		}
-	}
-	if logN > 0 {
-		snap.EnvSpeedupGeomean = math.Exp(logSum / float64(logN))
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, env speedup (geomean) %.2fx\n", path, len(snap.Rows), snap.EnvSpeedupGeomean)
-	return nil
-}
-
 // fleetRow is one collector × engine configuration of the fleet snapshot:
 // end-to-end latency percentiles through the fleet front.
 type fleetRow struct {
@@ -1166,42 +1056,32 @@ type backendRow struct {
 
 // replayRow is the substrate-isolated comparison for one collector: the
 // E1 run's exact op sequence, recorded once, replayed on a fresh store of
-// each substrate. Replay time is pure store cost — no machine
+// each backend. Replay time is pure store cost — no machine
 // interpretation — so this is where the substrate difference shows up
-// undiluted. Three substrates run: the seed's string-keyed store
-// (legacy-string, the baseline this PR's perf claim is measured against),
-// the uint32-interned map backend, and the flat arena.
+// undiluted.
 type replayRow struct {
-	Collector     string  `json:"collector"`
-	Ops           int     `json:"ops"`
-	LegacyP50Ms   float64 `json:"legacy_p50_ms"`
-	MapP50Ms      float64 `json:"map_p50_ms"`
-	ArenaP50Ms    float64 `json:"arena_p50_ms"`
-	ArenaVsLegacy float64 `json:"arena_vs_legacy"`
-	ArenaVsMap    float64 `json:"arena_vs_map"`
+	Collector  string  `json:"collector"`
+	Ops        int     `json:"ops"`
+	MapP50Ms   float64 `json:"map_p50_ms"`
+	ArenaP50Ms float64 `json:"arena_p50_ms"`
+	ArenaVsMap float64 `json:"arena_vs_map"`
 }
 
 type backendSnapshotFile struct {
 	Experiment string `json:"experiment"`
 	Workload   string `json:"workload"`
 	// IdentitiesOK reports that every whole-run row pair agrees bit for
-	// bit across backends: value, steps, collections, and the full Stats
-	// counters.
+	// bit across backends — value, steps, collections, and the full Stats
+	// counters — and that every timed rep reproduced its configuration's
+	// first rep.
 	IdentitiesOK bool `json:"identities_ok"`
 	// CoCheckOK reports that one co-checked arena run per collector
 	// finished without diverging from the map-substrate oracle.
 	CoCheckOK bool `json:"cocheck_ok"`
-	// ArenaOpSpeedupGeomean is the headline: the geometric mean over
-	// collectors of legacy-p50 / arena-p50 on the replayed op trace, i.e.
-	// the arena against the substrate this repository seeded with
-	// (string-keyed map, O(live-regions) scan per Put) — the baseline this
-	// PR's performance claim is made against.
-	ArenaOpSpeedupGeomean float64 `json:"arena_op_speedup_geomean"`
-	// ArenaVsMapOpGeomean compares the arena against the uint32-interned
-	// map backend, which this PR also introduced: interning region names
-	// to dense ids removed the string hash from the map's hot path too, so
-	// the two refactored backends land close together and this hovers
-	// near 1. The win over the seed substrate is shared, not arena-only.
+	// ArenaVsMapOpGeomean is the geometric mean over collectors of
+	// map-p50 / arena-p50 on the replayed op trace. Both backends intern
+	// region names to dense ids, so the two land close together and this
+	// hovers near 1.
 	ArenaVsMapOpGeomean float64 `json:"arena_vs_map_op_speedup_geomean"`
 	// ArenaRunSpeedupGeomean is the whole-run arena/map ratio for
 	// honesty's sake: store ops are a small fraction of end-to-end machine
@@ -1230,7 +1110,9 @@ func writeBackendSnapshot(path string) error {
 	backends := []regions.Backend{regions.BackendMap, regions.BackendArena}
 
 	// Whole-run rows: best-of-3 per capacity x collector x backend on the
-	// env engine, asserting the counter identities along the way.
+	// env engine, asserting the counter identities along the way. Every
+	// rep is checked, not just the one the row reports: each must return
+	// the reference value and reproduce its configuration's first rep.
 	runLogSum, runLogN := 0.0, 0
 	for _, capacity := range []int{16, 32, 64, 128} {
 		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
@@ -1242,21 +1124,32 @@ func writeBackendSnapshot(path string) error {
 			var results [2]psgc.Result
 			for _, be := range backends {
 				best := math.Inf(1)
-				var res psgc.Result
+				var first psgc.Result
+				resultOK := true
 				for rep := 0; rep < 3; rep++ {
 					t0 := time.Now()
-					res, err = c.Run(psgc.RunOptions{Capacity: capacity, Backend: be})
+					res, err := c.Run(psgc.RunOptions{Capacity: capacity, Backend: be})
 					if err != nil {
 						return err
 					}
 					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
 						best = ms
 					}
+					if rep == 0 {
+						first = res
+					}
+					resultOK = resultOK && res.Value == want
+					if res != first {
+						snap.IdentitiesOK = false
+						fmt.Printf("IDENTITY VIOLATION between reps at capacity %d, %s, %s:\n  rep 0 %+v\n  rep %d %+v\n",
+							capacity, col, be, first, rep, res)
+					}
 				}
+				res := first
 				pair[be], results[be] = best, res
 				snap.Rows = append(snap.Rows, backendRow{
 					Capacity: capacity, Collector: col.String(), Backend: be.String(),
-					Value: res.Value, ResultOK: res.Value == want,
+					Value: res.Value, ResultOK: resultOK,
 					Steps: res.Steps, Collections: res.Collections,
 					Puts: res.Stats.Puts, Reclaimed: res.Stats.CellsReclaimed,
 					MaxLive: res.Stats.MaxLiveCells, RunMs: best,
@@ -1281,7 +1174,7 @@ func writeBackendSnapshot(path string) error {
 	// collector: record the op trace from one arena run under the map
 	// oracle, then replay the identical sequence on fresh stores.
 	const replayCapacity, replayReps = 32, 25
-	legacyLogSum, mapLogSum, opLogN := 0.0, 0.0, 0
+	mapLogSum, opLogN := 0.0, 0
 	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
 		c, err := psgc.Compile(allocHeavy, col)
 		if err != nil {
@@ -1318,12 +1211,7 @@ func writeBackendSnapshot(path string) error {
 			}
 		}
 		oneReplay := func(be regions.Backend) (float64, error) {
-			var s regions.Store[gclang.Cell]
-			if be == regions.BackendLegacyString {
-				s = regions.NewLegacyString[gclang.Cell](replayCapacity)
-			} else {
-				s = regions.NewStore[gclang.Cell](be, replayCapacity)
-			}
+			s := regions.NewStore[gclang.Cell](be, replayCapacity)
 			s.SetAutoGrow(true)
 			seedCD(s)
 			t0 := time.Now()
@@ -1332,15 +1220,12 @@ func writeBackendSnapshot(path string) error {
 			}
 			return float64(time.Since(t0)) / float64(time.Millisecond), nil
 		}
-		// The reps interleave the substrates so host-GC drift over the
-		// measurement window biases no side; the first (warmup) round is
-		// discarded and the p50 is taken per substrate.
-		replayBackends := []regions.Backend{
-			regions.BackendLegacyString, regions.BackendMap, regions.BackendArena,
-		}
+		// The reps interleave the backends so host-GC drift over the
+		// measurement window biases neither side; the first (warmup) round
+		// is discarded and the p50 is taken per backend.
 		times := map[regions.Backend][]float64{}
 		for rep := 0; rep < replayReps+1; rep++ {
-			for _, be := range replayBackends {
+			for _, be := range backends {
 				ms, err := oneReplay(be)
 				if err != nil {
 					return err
@@ -1355,23 +1240,19 @@ func writeBackendSnapshot(path string) error {
 			sort.Float64s(ts)
 			return ts[len(ts)/2]
 		}
-		legacyMs := p50(regions.BackendLegacyString)
 		mapMs, arenaMs := p50(regions.BackendMap), p50(regions.BackendArena)
-		vsLegacy, vsMap := 0.0, 0.0
+		vsMap := 0.0
 		if arenaMs > 0 {
-			vsLegacy, vsMap = legacyMs/arenaMs, mapMs/arenaMs
-			legacyLogSum += math.Log(vsLegacy)
+			vsMap = mapMs / arenaMs
 			mapLogSum += math.Log(vsMap)
 			opLogN++
 		}
 		snap.Replay = append(snap.Replay, replayRow{
 			Collector: col.String(), Ops: len(tr.Ops),
-			LegacyP50Ms: legacyMs, MapP50Ms: mapMs, ArenaP50Ms: arenaMs,
-			ArenaVsLegacy: vsLegacy, ArenaVsMap: vsMap,
+			MapP50Ms: mapMs, ArenaP50Ms: arenaMs, ArenaVsMap: vsMap,
 		})
 	}
 	if opLogN > 0 {
-		snap.ArenaOpSpeedupGeomean = math.Exp(legacyLogSum / float64(opLogN))
 		snap.ArenaVsMapOpGeomean = math.Exp(mapLogSum / float64(opLogN))
 	}
 
@@ -1383,268 +1264,10 @@ func writeBackendSnapshot(path string) error {
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d rows, identities %v, cocheck %v, arena op speedup vs seed substrate (geomean) %.2fx, vs map backend %.2fx, whole-run %.2fx\n",
+	fmt.Printf("wrote %s: %d rows, identities %v, cocheck %v, arena op speedup vs map backend (geomean) %.2fx, whole-run %.2fx\n",
 		path, len(snap.Rows), snap.IdentitiesOK, snap.CoCheckOK,
-		snap.ArenaOpSpeedupGeomean, snap.ArenaVsMapOpGeomean, snap.ArenaRunSpeedupGeomean)
+		snap.ArenaVsMapOpGeomean, snap.ArenaRunSpeedupGeomean)
 	return nil
-}
-
-// cellsRow is one E1 configuration measured under one cell representation
-// (environment engine, best of three). Repr is "boxed" for the baseline
-// machine over interface-boxed cells (gclang.Value heap) and "packed" for
-// the production machine over the flat three-word gclang.Cell.
-type cellsRow struct {
-	Capacity      int     `json:"capacity"`
-	Collector     string  `json:"collector"`
-	Backend       string  `json:"backend"`
-	Repr          string  `json:"repr"`
-	Value         int     `json:"value"`
-	ResultOK      bool    `json:"result_ok"`
-	Steps         int     `json:"steps"`
-	Collections   int     `json:"collections"`
-	Puts          int     `json:"puts"`
-	Reclaimed     int     `json:"reclaimed"`
-	MaxLive       int     `json:"max_live"`
-	RunMs         float64 `json:"run_ms"`
-	PackedVsBoxed float64 `json:"packed_vs_boxed,omitempty"` // packed rows only
-}
-
-type cellsSnapshotFile struct {
-	Experiment string `json:"experiment"`
-	Workload   string `json:"workload"`
-	// IdentitiesOK reports that for every configuration the boxed and
-	// packed runs agree bit for bit (value, steps, collections, the full
-	// Stats counters) and that the packed map and packed arena runs agree
-	// with each other — the packing is a representation change, not a
-	// semantic one.
-	IdentitiesOK bool `json:"identities_ok"`
-	// CoCheckOK reports that one co-checked packed-arena run per collector
-	// finished without diverging from the subst-machine oracle on the map
-	// substrate.
-	CoCheckOK bool `json:"cocheck_ok"`
-	// ArenaAllocsPerOp is testing.AllocsPerRun over a warm arena
-	// Put/Get/Set triple; StepAllocsPerOp is the same over five steps of a
-	// warm environment-machine mutator loop. Both must be exactly zero —
-	// the packed representation's contract is that the steady state
-	// touches the host allocator not at all.
-	ArenaAllocsPerOp float64 `json:"arena_allocs_per_op"`
-	StepAllocsPerOp  float64 `json:"step_allocs_per_op"`
-	AllocsOK         bool    `json:"allocs_ok"`
-	// PackedVsBoxedArenaGeomean is the headline: the geometric mean over
-	// collectors × capacities of boxed-ms / packed-ms on the arena
-	// backend. The gate requires ≥ 1.5: the flat []Cell slab plus
-	// zero-allocation stepping must beat the interface-boxed heap by half
-	// again, or the packing refactor isn't paying for itself.
-	PackedVsBoxedArenaGeomean float64 `json:"packed_vs_boxed_arena_geomean"`
-	// PackedVsBoxedMapGeomean is the same ratio on the map backend, for
-	// scale: the map substrate dilutes the win with hashing costs shared
-	// by both representations.
-	PackedVsBoxedMapGeomean float64    `json:"packed_vs_boxed_map_geomean"`
-	Rows                    []cellsRow `json:"rows"`
-}
-
-// writeCellsSnapshot runs the E1 workload under both cell representations
-// and writes the BENCH_9.json artifact: boxed-vs-packed rows per collector
-// × capacity × backend with counter identities, a co-check verification of
-// the packed arena, the zero-allocation gates, and the packed-vs-boxed
-// geomeans.
-func writeCellsSnapshot(path string) error {
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	snap := cellsSnapshotFile{
-		Experiment:   "e1-cells",
-		Workload:     "allocHeavy (build 60)",
-		IdentitiesOK: true,
-		CoCheckOK:    true,
-	}
-	backends := []regions.Backend{regions.BackendMap, regions.BackendArena}
-
-	// Boxed-vs-packed rows: best-of-3 per capacity × collector × backend,
-	// interleaving the representations so host-GC drift biases neither.
-	var arenaLogSum, mapLogSum float64
-	var arenaLogN, mapLogN int
-	for _, capacity := range []int{16, 32, 64, 128} {
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				return err
-			}
-			var packedRes [2]psgc.Result
-			for _, be := range backends {
-				opts := psgc.RunOptions{Capacity: capacity, Backend: be}
-				bestBoxed, bestPacked := math.Inf(1), math.Inf(1)
-				var boxedRes, packedOne psgc.Result
-				for rep := 0; rep < 3; rep++ {
-					t0 := time.Now()
-					if boxedRes, err = c.RunBoxed(opts); err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < bestBoxed {
-						bestBoxed = ms
-					}
-					t0 = time.Now()
-					if packedOne, err = c.Run(opts); err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < bestPacked {
-						bestPacked = ms
-					}
-				}
-				packedRes[be] = packedOne
-				if boxedRes != packedOne {
-					snap.IdentitiesOK = false
-					fmt.Printf("IDENTITY VIOLATION boxed vs packed at capacity %d, %s, %s:\n  boxed  %+v\n  packed %+v\n",
-						capacity, col, be, boxedRes, packedOne)
-				}
-				ratio := 0.0
-				if bestPacked > 0 {
-					ratio = bestBoxed / bestPacked
-					if be == regions.BackendArena {
-						arenaLogSum += math.Log(ratio)
-						arenaLogN++
-					} else {
-						mapLogSum += math.Log(ratio)
-						mapLogN++
-					}
-				}
-				row := cellsRow{
-					Capacity: capacity, Collector: col.String(), Backend: be.String(),
-					Steps: boxedRes.Steps, Collections: boxedRes.Collections,
-					Puts: boxedRes.Stats.Puts, Reclaimed: boxedRes.Stats.CellsReclaimed,
-					MaxLive: boxedRes.Stats.MaxLiveCells,
-				}
-				boxed, packed := row, row
-				boxed.Repr, boxed.Value, boxed.ResultOK, boxed.RunMs = "boxed", boxedRes.Value, boxedRes.Value == want, bestBoxed
-				packed.Repr, packed.Value, packed.ResultOK, packed.RunMs = "packed", packedOne.Value, packedOne.Value == want, bestPacked
-				packed.PackedVsBoxed = ratio
-				snap.Rows = append(snap.Rows, boxed, packed)
-			}
-			if packedRes[regions.BackendMap] != packedRes[regions.BackendArena] {
-				snap.IdentitiesOK = false
-				fmt.Printf("IDENTITY VIOLATION packed map vs arena at capacity %d, %s:\n  map   %+v\n  arena %+v\n",
-					capacity, col, packedRes[regions.BackendMap], packedRes[regions.BackendArena])
-			}
-		}
-	}
-	if arenaLogN > 0 {
-		snap.PackedVsBoxedArenaGeomean = math.Exp(arenaLogSum / float64(arenaLogN))
-	}
-	if mapLogN > 0 {
-		snap.PackedVsBoxedMapGeomean = math.Exp(mapLogSum / float64(mapLogN))
-	}
-
-	// One co-checked packed-arena run per collector: the subst machine on
-	// the map oracle steps in lockstep with the packed arena machine.
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		c, err := psgc.Compile(allocHeavy, col)
-		if err != nil {
-			return err
-		}
-		diverged := false
-		if _, err := c.Run(psgc.RunOptions{
-			Capacity: 32, Backend: regions.BackendArena,
-			CoCheck:      true,
-			OnDivergence: func(psgc.Divergence) { diverged = true },
-		}); err != nil {
-			return fmt.Errorf("co-checked packed-arena run (%s): %w", col, err)
-		}
-		if diverged {
-			snap.CoCheckOK = false
-			fmt.Printf("CO-CHECK DIVERGENCE on the packed arena (%s)\n", col)
-		}
-	}
-
-	snap.ArenaAllocsPerOp = measureArenaAllocs()
-	snap.StepAllocsPerOp = measureStepAllocs()
-	snap.AllocsOK = snap.ArenaAllocsPerOp == 0 && snap.StepAllocsPerOp == 0
-
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, identities %v, cocheck %v, allocs/op arena %.1f step %.1f, packed vs boxed geomean arena %.2fx map %.2fx\n",
-		path, len(snap.Rows), snap.IdentitiesOK, snap.CoCheckOK,
-		snap.ArenaAllocsPerOp, snap.StepAllocsPerOp,
-		snap.PackedVsBoxedArenaGeomean, snap.PackedVsBoxedMapGeomean)
-	return nil
-}
-
-// measureArenaAllocs is the CI twin of the gclang zero-alloc test: a warm
-// arena (both slabs sized by two junk-fill/scavenge flips) must serve a
-// Put/Get/Set triple with zero host allocations.
-func measureArenaAllocs() float64 {
-	ar := regions.NewArena[gclang.Cell](0)
-	keep := ar.NewRegion()
-	const warm = 4096
-	for i := 0; i < warm; i++ {
-		ar.Put(keep, gclang.NumCell(i))
-	}
-	for flip := 0; flip < 2; flip++ {
-		junk := ar.NewRegion()
-		for i := 0; i < warm; i++ {
-			ar.Put(junk, gclang.NumCell(i))
-		}
-		if err := ar.Only([]regions.Name{keep}); err != nil {
-			panic(err)
-		}
-	}
-	fresh := ar.NewRegion()
-	var sink gclang.Cell
-	allocs := testing.AllocsPerRun(100, func() {
-		a, err := ar.Put(fresh, gclang.NumCell(7))
-		if err != nil {
-			panic(err)
-		}
-		c, err := ar.Get(a)
-		if err != nil {
-			panic(err)
-		}
-		if err := ar.Set(a, c); err != nil {
-			panic(err)
-		}
-		sink = c
-	})
-	_ = sink
-	return allocs
-}
-
-// measureStepAllocs steps a warm environment machine through a mutator
-// loop (call, get, arith, set, branch) on the packed arena; the steady
-// state must not touch the host allocator.
-func measureStepAllocs() float64 {
-	loop := gclang.LamV{RParams: []names.Name{"r"},
-		Params: []gclang.Param{{Name: "x", Ty: gclang.IntT{}}, {Name: "a", Ty: gclang.IntT{}}},
-		Body: gclang.LetT{X: "v", Op: gclang.GetOp{V: gclang.Var{Name: "a"}},
-			Body: gclang.LetT{X: "y", Op: gclang.ArithOp{Kind: gclang.Sub, L: gclang.Var{Name: "x"}, R: gclang.Num{N: 1}},
-				Body: gclang.SetT{Dst: gclang.Var{Name: "a"}, Src: gclang.Var{Name: "y"},
-					Body: gclang.If0T{V: gclang.Var{Name: "y"},
-						Then: gclang.HaltT{V: gclang.Var{Name: "y"}},
-						Else: gclang.AppT{Fn: gclang.CodeAddr(0), Rs: []gclang.Region{gclang.RVar{Name: "r"}},
-							Args: []gclang.Value{gclang.Var{Name: "y"}, gclang.Var{Name: "a"}}}}}}}}
-	prog := gclang.Program{
-		Code: []gclang.NamedFun{{Name: "loop", Fun: loop}},
-		Main: gclang.LetRegionT{R: "r", Body: gclang.LetT{X: "a", Op: gclang.PutOp{R: gclang.RVar{Name: "r"}, V: gclang.Num{N: 0}},
-			Body: gclang.AppT{Fn: gclang.CodeAddr(0), Rs: []gclang.Region{gclang.RVar{Name: "r"}},
-				Args: []gclang.Value{gclang.Num{N: 1 << 30}, gclang.Var{Name: "a"}}}}}}
-	m := gclang.NewEnvMachineOn(regions.BackendArena, gclang.Base, prog, 0)
-	for i := 0; i < 200; i++ {
-		if err := m.Step(); err != nil {
-			panic(err)
-		}
-	}
-	return testing.AllocsPerRun(100, func() {
-		for i := 0; i < 5; i++ {
-			if err := m.Step(); err != nil {
-				panic(err)
-			}
-		}
-	})
 }
 
 // policyRow is one (workload, variant) measurement for BENCH_8: the three
@@ -1678,9 +1301,10 @@ type policySnapshotFile struct {
 	// of the policy's job — while statics run at the bench capacity.
 	AdaptiveVsBestStaticGeomean float64 `json:"adaptive_vs_best_static_geomean"`
 	// IdentitiesOK reports that per-run profile totals agree exactly with
-	// the machine counters on every profiled measurement run: steps,
+	// the machine counters on every profiled measurement run (steps,
 	// collections, allocs+copies vs puts-code, forwards vs sets, and
-	// cells freed vs reclaimed.
+	// cells freed vs reclaimed) and that every timed rep reproduced its
+	// variant's first rep.
 	IdentitiesOK bool `json:"identities_ok"`
 	// CoCheckOK reports that one co-checked adaptive run per workload
 	// finished with the oracle's value and no divergence.
@@ -1807,28 +1431,38 @@ func writePolicySnapshot(path string) error {
 				wl.name, err, diverged, res.Value, want)
 		}
 
-		// Timed reps, all variants interleaved, every run profiled.
+		// Timed reps, all variants interleaved, every run profiled. Every
+		// rep is checked: it must return the reference value and reproduce
+		// its variant's first rep exactly.
 		times := map[string][]float64{}
-		values := map[string]psgc.Result{}
+		values := map[string]psgc.Result{} // each variant's first rep
+		resultOK := map[string]bool{}
+		record := func(variant string, rep int, res psgc.Result, ms float64) {
+			if rep == 0 {
+				values[variant], resultOK[variant] = res, true
+			} else {
+				times[variant] = append(times[variant], ms)
+			}
+			resultOK[variant] = resultOK[variant] && res.Value == want
+			if res != values[variant] {
+				snap.IdentitiesOK = false
+				fmt.Printf("IDENTITY VIOLATION between reps on %s, %s:\n  rep 0 %+v\n  rep %d %+v\n",
+					wl.name, variant, values[variant], rep, res)
+			}
+		}
 		for rep := 0; rep < policyReps+1; rep++ {
 			for _, col := range statics {
 				res, ms, err := profiledRun(compiled[col.String()], psgc.RunOptions{Capacity: benchCapacity}, &snap.IdentitiesOK)
 				if err != nil {
 					return err
 				}
-				if rep > 0 {
-					times[col.String()] = append(times[col.String()], ms)
-				}
-				values[col.String()] = res
+				record(col.String(), rep, res, ms)
 			}
 			res, ms, err := profiledRun(adaptive, adaptiveOpts, &snap.IdentitiesOK)
 			if err != nil {
 				return err
 			}
-			if rep > 0 {
-				times["adaptive"] = append(times["adaptive"], ms)
-			}
-			values["adaptive"] = res
+			record("adaptive", rep, res, ms)
 		}
 		bestStatic := math.Inf(1)
 		for _, col := range statics {
@@ -1839,7 +1473,7 @@ func writePolicySnapshot(path string) error {
 			res := values[col.String()]
 			snap.Rows = append(snap.Rows, policyRow{
 				Workload: wl.name, Variant: col.String(), Collector: col.String(),
-				Capacity: benchCapacity, Value: res.Value, ResultOK: res.Value == want,
+				Capacity: benchCapacity, Value: res.Value, ResultOK: resultOK[col.String()],
 				Collections: res.Collections, P50Ms: ms,
 			})
 		}
@@ -1847,7 +1481,7 @@ func writePolicySnapshot(path string) error {
 		resA := values["adaptive"]
 		snap.Rows = append(snap.Rows, policyRow{
 			Workload: wl.name, Variant: "adaptive", Collector: d.Collector,
-			Capacity: d.Capacity, Value: resA.Value, ResultOK: resA.Value == want,
+			Capacity: d.Capacity, Value: resA.Value, ResultOK: resultOK["adaptive"],
 			Collections: resA.Collections, P50Ms: adaptiveMs, Reason: d.Reason,
 		})
 		if adaptiveMs > 0 {

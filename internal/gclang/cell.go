@@ -359,7 +359,8 @@ func (p *Pools) Decode(c Cell) Value {
 // CellWords is ValueWords over the packed form: for every cell,
 // CellWords(c) == ValueWords(p.Decode(c)), so the StepEvent word
 // accounting (and everything downstream: profiler survival deciles,
-// timeline bytes) is identical between boxed and packed runs.
+// timeline bytes) is identical between the substitution machine, which
+// counts Values, and the environment machine, which counts cells.
 func (p *Pools) CellWords(c Cell) int {
 	switch c.Tag {
 	case CellPair:

@@ -28,13 +28,13 @@ import (
 //     no free names, so sequential substitution coincides with environment
 //     lookup (innermost wins) and no capture is possible.
 //
-// Since PR 9 the machine is cell-native: memory is regions.Store[Cell] and
-// the term-variable environment binds packed cells, not boxed Values (see
+// The machine is cell-native: memory is regions.Store[Cell] and the
+// term-variable environment binds packed cells, not boxed Values (see
 // cell.go). Values appear only at the term boundary — literals in the
 // control term are packed on first resolution, and the halt result is
 // unpacked once. This is what lets the flat arena's contiguity show
 // end-to-end: a steady-state step touches no host-GC-visible allocation at
-// all, where the boxed machine paid one interface box per Put.
+// all, where a heap of interface-boxed Values would pay one box per Put.
 //
 // Bindings are resolved eagerly: every value, tag, region, or type entering
 // the environment is fully resolved against the current environment first,
@@ -374,7 +374,7 @@ func (m *EnvMachine) stepApp(e AppT) (Term, error) {
 		// The pooled head is fully resolved; the arguments are left in the
 		// rewritten call for the next step to resolve — the environment
 		// cannot change between the rewrite and the call, so the lazy
-		// resolution coincides with the boxed machine's eager one. The head
+		// resolution coincides with an eager one. The head
 		// itself stays a cell, bound under a reserved name no program can
 		// shadow ('#' never survives the pipeline): decoding it to a Value
 		// would hand cellOf a dynamically built value, and the descriptor
@@ -534,8 +534,7 @@ func (m *EnvMachine) stepTypecase(e TypecaseT) (Term, error) {
 }
 
 // cellOf resolves a term-position value against the environment and packs
-// it. It is the packed counterpart of the boxed machine's value(): term
-// variables come straight out of envCells (already packed, already
+// it: term variables come straight out of envCells (already packed, already
 // closed), literals pack inline when they fit, and the syntax-bearing
 // forms resolve their tag/region/type components through the shared
 // resolver before pooling. Steady-state steps (variables, small literals)

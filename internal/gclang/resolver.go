@@ -7,16 +7,15 @@ import (
 	"psgc/internal/tags"
 )
 
-// resolver is the tag/region/type resolution layer shared by the packed
-// EnvMachine and the boxed BoxedEnvMachine: environment lookup with shadow
-// tracking for the three syntax namespaces. Every method returns the
-// resolved syntax plus a changed flag; unchanged subtrees are returned
-// as-is, so resolving closed syntax allocates nothing. Resolution is the
-// environment-based reading of the machine's closed substitutions:
-// innermost binding wins, binders under which we descend only shadow
-// (Subst with Closed set never renames). Value resolution is not shared —
-// the packed machine resolves straight into cells, the boxed machine into
-// Values — so it lives with each machine.
+// resolver is the EnvMachine's tag/region/type resolution layer:
+// environment lookup with shadow tracking for the three syntax namespaces.
+// Every method returns the resolved syntax plus a changed flag; unchanged
+// subtrees are returned as-is, so resolving closed syntax allocates
+// nothing. Resolution is the environment-based reading of the machine's
+// closed substitutions: innermost binding wins, binders under which we
+// descend only shadow (Subst with Closed set never renames). Value
+// resolution resolves straight into cells, so it lives with the machine
+// (cellOf).
 type resolver struct {
 	// The three syntax binder namespaces. Overwrite-on-shadow is sound
 	// because CPS control never returns to an outer scope (see the

@@ -119,10 +119,8 @@ const WordBytes = 8
 
 // MemView is the read-only slice of a machine memory the observability
 // layer needs: region existence for the free diff at only, the cumulative
-// counters, and the live-cell total. Both regions.Store[gclang.Cell] (the
-// machines' packed heaps) and regions.Store[gclang.Value] (the boxed
-// baseline) satisfy it, so observers are independent of the cell
-// representation.
+// counters, and the live-cell total. The machines' packed heaps,
+// regions.Store[gclang.Cell], satisfy it.
 type MemView interface {
 	Has(n regions.Name) bool
 	Stats() regions.Stats

@@ -5,10 +5,7 @@ import (
 	"testing"
 )
 
-// forEachBackend runs a subtest against a fresh store of every backend,
-// plus the seed's string-keyed store kept as the benchmark baseline — it
-// is not selectable, but it must honor the same Store contract and counter
-// identities for its replay numbers to mean anything.
+// forEachBackend runs a subtest against a fresh store of every backend.
 func forEachBackend(t *testing.T, capacity int, f func(t *testing.T, s Store[int])) {
 	t.Helper()
 	for _, b := range Backends() {
@@ -17,9 +14,6 @@ func forEachBackend(t *testing.T, capacity int, f func(t *testing.T, s Store[int
 			f(t, NewStore[int](b, capacity))
 		})
 	}
-	t.Run(BackendLegacyString.String(), func(t *testing.T) {
-		f(t, NewLegacyString[int](capacity))
-	})
 }
 
 func TestBackendConformance(t *testing.T) {
@@ -166,8 +160,8 @@ func TestBackendsAgreeRandomOps(t *testing.T) {
 	m := New[int](8)
 	m.SetAutoGrow(true)
 	// Every other substrate is differentially tested against the map
-	// reference: the arena, and the seed's string-keyed baseline.
-	others := []Store[int]{NewArena[int](8), NewLegacyString[int](8)}
+	// reference.
+	others := []Store[int]{NewArena[int](8)}
 	for _, s := range others {
 		s.SetAutoGrow(true)
 	}

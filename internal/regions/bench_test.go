@@ -6,8 +6,7 @@ import (
 )
 
 // benchBackends runs a sub-benchmark against a fresh store of each
-// backend, plus the seed's string-keyed substrate as the baseline the
-// regression numbers are read against.
+// backend.
 func benchBackends(b *testing.B, capacity int, f func(b *testing.B, mk func() Store[int])) {
 	for _, be := range Backends() {
 		be := be
@@ -15,9 +14,6 @@ func benchBackends(b *testing.B, capacity int, f func(b *testing.B, mk func() St
 			f(b, func() Store[int] { return NewStore[int](be, capacity) })
 		})
 	}
-	b.Run(BackendLegacyString.String(), func(b *testing.B) {
-		f(b, func() Store[int] { return NewLegacyString[int](capacity) })
-	})
 }
 
 // BenchmarkPut is the O(1)-allocation regression for the hot path: Put

@@ -151,8 +151,6 @@ func (b Backend) String() string {
 		return "map"
 	case BackendArena:
 		return "arena"
-	case BackendLegacyString:
-		return "legacy-string"
 	default:
 		return fmt.Sprintf("backend(%d)", int(b))
 	}

@@ -360,8 +360,7 @@ type RunOptions struct {
 	// its return value just after construction. The benchmark harness uses
 	// it to interpose regions.NewTrace and record the run's exact op
 	// sequence; the wrapper must preserve observable store behavior. The
-	// co-checker's oracle is never wrapped, and the boxed baseline
-	// (RunBoxed) ignores it — its store carries boxed Values, not Cells.
+	// co-checker's oracle is never wrapped.
 	WrapStore func(regions.Store[gclang.Cell]) regions.Store[gclang.Cell]
 	// CheckpointEvery, if > 0, captures a checkpoint every CheckpointEvery
 	// machine steps and hands it to OnCheckpoint (which is then required).
@@ -692,15 +691,7 @@ func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
 	return finishResult(m.Result, m.Steps, collections, m.Mem)
 }
 
-// memStats is the slice of the store surface a Result snapshot needs.
-// Both the packed Store[gclang.Cell] the machines run on and the boxed
-// baseline's Store[gclang.Value] satisfy it.
-type memStats interface {
-	Stats() regions.Stats
-	LiveCells() int
-}
-
-func finishResult(v gclang.Value, steps, collections int, mem memStats) (Result, error) {
+func finishResult(v gclang.Value, steps, collections int, mem regions.Store[gclang.Cell]) (Result, error) {
 	n, ok := v.(gclang.Num)
 	if !ok {
 		return Result{}, fmt.Errorf("psgc: program halted with non-integer %s", v)
@@ -711,53 +702,13 @@ func finishResult(v gclang.Value, steps, collections int, mem memStats) (Result,
 }
 
 // partialResult snapshots an execution's observable statistics.
-func partialResult(steps, collections int, mem memStats) Result {
+func partialResult(steps, collections int, mem regions.Store[gclang.Cell]) Result {
 	return Result{
 		Steps:       steps,
 		Collections: collections,
 		Stats:       mem.Stats(),
 		LiveCells:   mem.LiveCells(),
 	}
-}
-
-// RunBoxed executes the compiled program on the boxed baseline machine
-// (gclang.BoxedEnvMachine): interface-boxed heap cells over
-// regions.Store[Value], the pre-packing representation kept for
-// measurement. It exists so the benchmark harness can put a number on what
-// the packed cells buy (BENCH_9's boxed-vs-packed rows) — the service
-// never calls it. Capacity, FixedCapacity, Fuel, Backend, Progress, and
-// ProgressEvery are honored; ghost mode, co-checking, the observability
-// hooks, and WrapStore do not apply to the baseline.
-func (c *Compiled) RunBoxed(opts RunOptions) (Result, error) {
-	m := gclang.NewBoxedEnvMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
-	m.Mem.SetAutoGrow(!opts.FixedCapacity)
-	fuel, every := runBudgets(opts)
-	collections := 0
-	for !m.Halted {
-		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
-		}
-		fuel--
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
-			collections++
-			collected = true
-		}
-		if err := m.Step(); err != nil {
-			return Result{}, err
-		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
-				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
-			}
-		}
-	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
 }
 
 // Interpret runs the source program directly on the reference evaluator
