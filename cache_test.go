@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"psgc/internal/collector"
+	"psgc/internal/regions"
 	"psgc/internal/source"
+	"psgc/internal/workload"
 )
 
 // TestCollectorTypecheckedOncePerDialect drives several compiles per
@@ -101,6 +103,65 @@ func TestConcurrentRunSharedCompiled(t *testing.T) {
 		}
 		wg.Wait()
 	}
+}
+
+// TestConcurrentRunsShareLoweredCode runs one Compiled per collector from
+// 8 goroutines at once, on both backends at the gc-heavy benchmark's
+// capacities. The goroutines share each program's lowered code and, across
+// programs of a dialect, the verified collector's lowered prefix; every
+// machine's frames, memo and pools are its own. Every result must equal
+// the sequential run's, and under -race the sharing must be read-only.
+func TestConcurrentRunsShareLoweredCode(t *testing.T) {
+	type config struct {
+		col      Collector
+		backend  regions.Backend
+		capacity int
+	}
+	var configs []config
+	compiled := map[Collector]*Compiled{}
+	for _, col := range allCollectors {
+		c, err := Compile(workload.AllocHeavySrc(30), col)
+		if err != nil {
+			t.Fatalf("%v: compile: %v", col, err)
+		}
+		compiled[col] = c
+		for _, b := range []regions.Backend{regions.BackendMap, regions.BackendArena} {
+			for _, capacity := range []int{16, 32, 48} {
+				configs = append(configs, config{col, b, capacity})
+			}
+		}
+	}
+	run := func(cf config) (Result, error) {
+		return compiled[cf.col].Run(RunOptions{Capacity: cf.capacity, Backend: cf.backend})
+	}
+	want := make([]Result, len(configs))
+	for i, cf := range configs {
+		res, err := run(cf)
+		if err != nil {
+			t.Fatalf("%+v: sequential run: %v", cf, err)
+		}
+		want[i] = res
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range configs {
+				i := (g*5 + k) % len(configs)
+				res, err := run(configs[i])
+				if err != nil {
+					t.Errorf("%+v: concurrent run: %v", configs[i], err)
+					return
+				}
+				if res != want[i] {
+					t.Errorf("%+v: concurrent run %+v, sequential %+v", configs[i], res, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRunOutOfFuelPartialResult asserts the fuel-exhausted path still

@@ -48,7 +48,7 @@ func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
 		// identical configuration and the per-step counter comparison
 		// stays exact across the checkpoint.
 		var err error
-		shadow, err = gclang.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
+		shadow, err = c.code.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), ck.image)
 		if err != nil {
 			return Result{}, fmt.Errorf("psgc: resume: %w", err)
 		}

@@ -27,6 +27,10 @@ type Verified struct {
 	Minor, Major gclang.AddrV
 	// Entries lists every entry-point address (gc, or minor+major).
 	Entries []regions.Addr
+	// Code is Funs lowered for the environment machine, once per process
+	// like the certification; every program linked against this collector
+	// lowers only its own blocks on top of it (gclang.LowerOnto).
+	Code *gclang.Code
 }
 
 // NewLayout returns a fresh Layout seeded with the verified collector's
@@ -113,5 +117,6 @@ func build(d gclang.Dialect) (*Verified, error) {
 		return nil, fmt.Errorf("collector: %s collector does not typecheck: %w", d, err)
 	}
 	v.Funs = elab.Code
+	v.Code = gclang.Lower(elab)
 	return v, nil
 }

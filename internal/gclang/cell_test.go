@@ -287,44 +287,3 @@ func TestArenaPackedCellZeroAllocs(t *testing.T) {
 		t.Fatalf("arena Put/Get/Set allocated %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// TestEnvMachineStepLoopZeroAllocs gates the machine layer: a warm
-// environment machine stepping a mutator loop (call, get, arith, set,
-// branch) over the packed arena must allocate nothing per iteration.
-func TestEnvMachineStepLoopZeroAllocs(t *testing.T) {
-	loop := LamV{RParams: []names.Name{"r"},
-		Params: []Param{{Name: "x", Ty: IntT{}}, {Name: "a", Ty: IntT{}}},
-		Body: LetT{X: "v", Op: GetOp{V: Var{Name: "a"}},
-			Body: LetT{X: "y", Op: ArithOp{Kind: Sub, L: Var{Name: "x"}, R: Num{N: 1}},
-				Body: SetT{Dst: Var{Name: "a"}, Src: Var{Name: "y"},
-					Body: If0T{V: Var{Name: "y"},
-						Then: HaltT{V: Var{Name: "y"}},
-						Else: AppT{Fn: CodeAddr(0), Rs: []Region{RVar{Name: "r"}},
-							Args: []Value{Var{Name: "y"}, Var{Name: "a"}}}}}}}}
-	prog := Program{
-		Code: []NamedFun{{Name: "loop", Fun: loop}},
-		Main: LetRegionT{R: "r", Body: LetT{X: "a", Op: PutOp{R: RVar{Name: "r"}, V: Num{N: 0}},
-			Body: AppT{Fn: CodeAddr(0), Rs: []Region{RVar{Name: "r"}},
-				Args: []Value{Num{N: 1 << 30}, Var{Name: "a"}}}}}}
-	m := NewEnvMachineOn(regions.BackendArena, Base, prog, 0)
-	// Warm: size the env maps and scratch buffers through several
-	// iterations of the 5-step loop body.
-	for i := 0; i < 200; i++ {
-		if err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 5; i++ {
-			if err := m.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if m.Halted {
-		t.Fatal("loop halted inside the measurement window")
-	}
-	if allocs != 0 {
-		t.Fatalf("env machine loop allocated %.1f allocs/op, want 0", allocs)
-	}
-}

@@ -3,7 +3,6 @@ package gclang
 import (
 	"errors"
 	"fmt"
-	"unsafe"
 
 	"psgc/internal/fault"
 	"psgc/internal/names"
@@ -28,22 +27,28 @@ import (
 //     no free names, so sequential substitution coincides with environment
 //     lookup (innermost wins) and no capture is possible.
 //
+// The machine runs lowered code (lower.go): a load-time pass gives every
+// code block a frame layout with one slot per binder name and namespace,
+// and records in every variable occurrence the slot it reads. The
+// environment is four flat slot frames — term variables, tags, regions,
+// types — each slot stamped with the generation that wrote it. Code blocks
+// are closed, so a call bumps the generation (unbinding every slot at
+// once) and writes only its parameters: its cost follows the parameter
+// count, and no step looks a name up in a map.
+//
 // The machine is cell-native: memory is regions.Store[Cell] and the
-// term-variable environment binds packed cells, not boxed Values (see
-// cell.go). Values appear only at the term boundary — literals in the
-// control term are packed on first resolution, and the halt result is
-// unpacked once. This is what lets the flat arena's contiguity show
-// end-to-end: a steady-state step touches no host-GC-visible allocation at
-// all, where a heap of interface-boxed Values would pay one box per Put.
+// term-variable frame holds packed cells, not boxed Values (see cell.go).
+// Values appear only at the term boundary — number and address literals
+// are packed at load time, compound literals when the step that reads
+// them runs, and the halt result is unpacked once. This is
+// what lets the flat arena's contiguity show end-to-end: a steady-state
+// step touches no host-GC-visible allocation at all, where a heap of
+// interface-boxed Values would pay one box per Put.
 //
 // Bindings are resolved eagerly: every value, tag, region, or type entering
-// the environment is fully resolved against the current environment first,
-// so stored payloads are always closed. Only term bodies stay unresolved —
-// they are the typechecked artifact; closures exist only at machine level.
-//
-// Code blocks are closed, so a call resets the environment to exactly the
-// call's bindings: the maps are cleared (retaining their buckets) and the
-// parameters rebound, giving steady-state allocation-free stepping.
+// a frame is fully resolved against the current frames first, so stored
+// payloads are always closed. Only term bodies stay unresolved — they are
+// the typechecked artifact; closures exist only at machine level.
 //
 // The EnvMachine is observationally equivalent to Machine: same memory
 // effects in the same order, same step counts, same regions.Memory counters
@@ -59,10 +64,6 @@ type EnvMachine struct {
 	// meaningless under another machine's pools.
 	Pool *Pools
 
-	// Ctrl is the current control term: a subterm of the loaded program (or
-	// of a code block), interpreted relative to the environment.
-	Ctrl Term
-
 	// Steps counts machine transitions taken so far.
 	Steps int
 
@@ -74,34 +75,55 @@ type EnvMachine struct {
 
 	// Event, if non-nil, is called after every classified step with a
 	// fixed-size StepEvent, exactly as Machine.Event is (see events.go).
-	// This replaces the old Trace hook, which synthesized a resolved
-	// pre-step term per step — an allocation cost that made tracing
-	// opt-in. Emitting a StepEvent allocates nothing, so the hook stays
-	// installed on every request.
+	// Emitting a StepEvent allocates nothing, so the hook stays installed
+	// on every request.
 	Event func(StepEvent)
 
 	// ev is the scratch event the step rules fill when Event is set.
 	ev StepEvent
 
-	// envCells is the term-variable namespace, binding packed cells. The
-	// syntax namespaces and shadow stacks live in the embedded resolver.
-	// Overwrite-on-shadow is sound because CPS control never returns to an
-	// outer scope (see the type comment).
-	envCells map[names.Name]Cell
+	// code is the lowered program. The control term is node pc of block
+	// blk (main's, a code block's, or a restored control term's), whose
+	// nodes live in tab; or, when pc is tcallPC, the call a translucent
+	// head was just rewritten to.
+	code  *Code
+	blk   *lblock
+	tab   *ltab
+	pc    int32
+	tcall tcall
+
+	// cells is the term-variable frame. The syntax frames, the generation
+	// stamp, and the resolution state live in the embedded resolver.
+	cells []slot[Cell]
 
 	resolver
 
-	// packMemo caches resolved pack descriptors per pack literal in the
-	// program text (see packmemo.go): a collector loop re-packs under the
-	// same type-level environment thousands of times, and a hit skips
-	// both annotation resolution and pool growth.
-	packMemo map[unsafe.Pointer]*nodeMemo
+	// memo caches resolved pack descriptors per pack literal, indexed by
+	// the literal's number (see packmemo.go).
+	memo []litMemo
 
-	// Scratch buffers reused across calls for pre-clear operand resolution.
+	// dyn holds blocks lowered at run time: code called from the Lams pool
+	// beyond the program's own blocks (a literal code block a program put
+	// into memory itself).
+	dyn map[uint64]*lblock
+
+	// Scratch buffers reused across calls for pre-entry operand resolution.
 	scratchTags  []tags.Tag
 	scratchRegs  []Region
 	scratchCells []Cell
 	scratchNames []regions.Name
+}
+
+// tcallPC marks the control term as the machine's translucent call.
+const tcallPC int32 = -1
+
+// tcall is the call a translucent head rewrites to: the head sits in
+// tappHeadSlot, the recorded tags and regions are already resolved, and
+// the value arguments are still those of the rewritten call (node app).
+type tcall struct {
+	app  int32
+	tags []tags.Tag
+	rs   []Region
 }
 
 // NewEnvMachine loads a program into a fresh map-backed memory with the
@@ -111,24 +133,11 @@ func NewEnvMachine(d Dialect, p Program, capacity int) *EnvMachine {
 	return NewEnvMachineOn(regions.BackendMap, d, p, capacity)
 }
 
-// NewEnvMachineOn is NewEnvMachine over the selected memory backend.
+// NewEnvMachineOn is NewEnvMachine over the selected memory backend. It
+// lowers p first; callers that run one program many times lower it once
+// (Lower) and use Code.NewEnvMachine.
 func NewEnvMachineOn(b regions.Backend, d Dialect, p Program, capacity int) *EnvMachine {
-	m := &EnvMachine{
-		Dialect:  d,
-		Mem:      regions.NewStore[Cell](b, capacity),
-		Pool:     NewPools(),
-		Ctrl:     p.Main,
-		envCells: map[names.Name]Cell{},
-		packMemo: map[unsafe.Pointer]*nodeMemo{},
-	}
-	m.initResolver()
-	for i, nf := range p.Code {
-		addr, err := m.Mem.Put(regions.CD, m.Pool.LamCell(nf.Fun))
-		if err != nil || addr.Off != i {
-			panic(fmt.Sprintf("gclang: code install failed: %v", err))
-		}
-	}
-	return m
+	return Lower(p).NewEnvMachine(b, d, capacity)
 }
 
 // Run steps the machine until halt, an error, or the fuel limit.
@@ -162,17 +171,19 @@ func (m *EnvMachine) RunInt(fuel int) (int, error) {
 // term is a call whose head is (or is bound to) an address. It allocates
 // nothing; run loops use it to count collector entries.
 func (m *EnvMachine) PendingCall() (regions.Addr, bool) {
-	app, ok := m.Ctrl.(AppT)
-	if !ok {
-		return regions.Addr{}, false
-	}
-	switch fn := app.Fn.(type) {
-	case Var:
-		if c, ok := m.envCells[fn.Name]; ok && c.Tag == CellAddr {
-			return c.Addr(), true
+	var c Cell
+	if m.pc == tcallPC {
+		c, _ = lookup(m.cells, tappHeadSlot, m.gen)
+	} else if n := &m.tab.nodes[m.pc]; n.kind == tApp {
+		switch n.a.kind() {
+		case vConst:
+			c = m.tab.consts[n.a.idx()]
+		case vVar:
+			c, _ = lookup(m.cells, n.a.idx(), m.gen)
 		}
-	case AddrV:
-		return fn.Addr, true
+	}
+	if c.Tag == CellAddr {
+		return c.Addr(), true
 	}
 	return regions.Addr{}, false
 }
@@ -192,11 +203,9 @@ func (m *EnvMachine) Step() error {
 	if m.Event != nil {
 		m.ev.Kind = StepNone
 	}
-	next, err := m.step(m.Ctrl)
-	if err != nil {
+	if err := m.step(); err != nil {
 		return err
 	}
-	m.Ctrl = next
 	m.Steps++
 	if m.Event != nil && m.ev.Kind != StepNone {
 		m.ev.Step = m.Steps
@@ -205,255 +214,354 @@ func (m *EnvMachine) Step() error {
 	return nil
 }
 
-// step returns the next control term.
-func (m *EnvMachine) step(e Term) (Term, error) {
-	switch e := e.(type) {
-	case HaltT:
-		c := m.cellOf(e.V)
+// bindCell, bindTag, bindRegion and bindType write a slot of the current
+// generation.
+func (m *EnvMachine) bindCell(s int32, c Cell)     { m.cells[s] = slot[Cell]{v: c, gen: m.gen} }
+func (m *EnvMachine) bindTag(s int32, t tags.Tag)  { m.tags[s] = slot[tags.Tag]{v: t, gen: m.gen} }
+func (m *EnvMachine) bindRegion(s int32, r Region) { m.regs[s] = slot[Region]{v: r, gen: m.gen} }
+func (m *EnvMachine) bindType(s int32, t Type)     { m.typs[s] = slot[Type]{v: t, gen: m.gen} }
+
+// source returns the current control term as syntax: the term the
+// substitution machine would be holding, before substitution.
+func (m *EnvMachine) source() Term {
+	if m.pc == tcallPC {
+		app := m.blk.sourceAt(m.tcall.app).(AppT)
+		return AppT{Fn: Var{Name: tappHeadName}, Tags: m.tcall.tags, Rs: m.tcall.rs, Args: app.Args}
+	}
+	return m.blk.sourceAt(m.pc)
+}
+
+// stuck reports a stuck control term; formatting it is the cold path.
+func (m *EnvMachine) stuck(format string, args ...any) error {
+	return stuck(m.source(), format, args...)
+}
+
+// step performs the transition out of the current control term, moving pc.
+func (m *EnvMachine) step() error {
+	if m.pc == tcallPC {
+		return m.stepTCall()
+	}
+	t := m.tab
+	n := &t.nodes[m.pc]
+	switch n.kind {
+	case tHalt:
+		c := m.cellOf(n.a)
 		m.Halted = true
 		m.Result = m.Pool.Decode(c)
 		if m.Event != nil {
 			m.ev = StepEvent{Kind: StepHalt}
 		}
-		return e, nil
-	case AppT:
-		return m.stepApp(e)
-	case LetT:
-		c, err := m.stepOp(e.Op)
+		return nil
+	case tApp:
+		return m.stepApp(n)
+	case tLet:
+		c, err := m.stepOp(n)
 		if err != nil {
-			return nil, fmt.Errorf("%w: in %s", err, e.Op)
+			return fmt.Errorf("%w: in %s", err, m.source().(LetT).Op)
 		}
-		m.envCells[e.X] = c
-		return e.Body, nil
-	case IfGCT:
-		rn, ok := m.resolveRegion(e.R).(RName)
+		m.bindCell(n.x, c)
+	case tIfGC:
+		r := m.resolveRegion(t.regs[n.r])
+		rn, ok := r.(RName)
 		if !ok {
-			return nil, stuck(e, "ifgc on region variable %s", e.R)
+			return m.stuck("ifgc on region variable %s", r)
 		}
-		if m.Mem.Full(rn.Name) {
-			return e.Full, nil
+		if !m.Mem.Full(rn.Name) {
+			m.pc = n.alt
+			return nil
 		}
-		return e.Else, nil
-	case OpenTagT:
-		c := m.cellOf(e.V)
+	case tOpenTag:
+		c := m.cellOf(n.a)
 		pk, ok := PackTagDesc{}, false
 		if c.Tag == CellPackTag {
 			pk, ok = m.Pool.packTagAt(c.A)
 		}
 		if !ok {
-			return nil, stuck(e, "open of non-package %s", e.V)
+			return m.stuck("open of non-package %s", m.source().(OpenTagT).V)
 		}
-		m.envTags[e.T] = pk.Tag
-		m.envCells[e.X] = m.Pool.cellOfWord(c.B)
-		return e.Body, nil
-	case OpenAlphaT:
-		c := m.cellOf(e.V)
+		m.bindTag(n.r, pk.Tag)
+		m.bindCell(n.x, m.Pool.cellOfWord(c.B))
+	case tOpenAlpha:
+		c := m.cellOf(n.a)
 		pk, ok := PackAlphaDesc{}, false
 		if c.Tag == CellPackAlpha {
 			pk, ok = m.Pool.packAlphaAt(c.A)
 		}
 		if !ok {
-			return nil, stuck(e, "open of non-package %s", e.V)
+			return m.stuck("open of non-package %s", m.source().(OpenAlphaT).V)
 		}
-		m.envTyps[e.A] = pk.Hidden
-		m.envCells[e.X] = m.Pool.cellOfWord(c.B)
-		return e.Body, nil
-	case LetRegionT:
+		m.bindType(n.r, pk.Hidden)
+		m.bindCell(n.x, m.Pool.cellOfWord(c.B))
+	case tLetRegion:
 		nu := m.Mem.NewRegion()
-		m.envRegs[e.R] = RName{Name: nu}
+		m.bindRegion(n.x, RName{Name: nu})
 		if m.Event != nil {
 			m.ev = StepEvent{Kind: StepNewRegion, Addr: regions.Addr{Region: nu}}
 		}
-		return e.Body, nil
-	case OnlyT:
-		delta, _ := m.regionSlice(e.Delta)
+	case tOnly:
 		keep := m.scratchNames[:0]
-		for _, r := range delta {
+		for _, lr := range t.regs[n.r : n.r+n.x] {
+			r := m.resolveRegion(lr)
 			rn, ok := r.(RName)
 			if !ok {
-				return nil, stuck(e, "only with region variable %s", r)
+				return m.stuck("only with region variable %s", r)
 			}
 			keep = append(keep, rn.Name)
 		}
 		m.scratchNames = keep
 		if err := m.Mem.Only(keep); err != nil {
-			return nil, stuck(e, "%v", err)
+			return m.stuck("%v", err)
 		}
 		if m.Event != nil {
 			m.ev = StepEvent{Kind: StepOnly}
 		}
-		return e.Body, nil
-	case TypecaseT:
-		return m.stepTypecase(e)
-	case IfLeftT:
-		c := m.cellOf(e.V)
+	case tTypecase:
+		return m.stepTypecase(&t.cases[n.r])
+	case tIfLeft:
+		c := m.cellOf(n.a)
 		switch c.Tag {
 		case CellInl:
-			m.envCells[e.X] = c
-			return e.L, nil
+			m.bindCell(n.x, c)
 		case CellInr:
-			m.envCells[e.X] = c
-			return e.R, nil
+			m.bindCell(n.x, c)
+			m.pc = n.alt
+			return nil
 		default:
-			return nil, stuck(e, "ifleft on untagged value %s", e.V)
+			return m.stuck("ifleft on untagged value %s", m.source().(IfLeftT).V)
 		}
-	case SetT:
-		dst := m.cellOf(e.Dst)
+	case tSet:
+		dst := m.cellOf(n.a)
 		if dst.Tag != CellAddr {
-			return nil, stuck(e, "set destination %s is not an address", e.Dst)
+			return m.stuck("set destination %s is not an address", m.source().(SetT).Dst)
 		}
-		src := m.cellOf(e.Src)
+		src := m.cellOf(n.b)
 		if err := m.Mem.Set(dst.Addr(), src); err != nil {
-			return nil, stuck(e, "%v", err)
+			return m.stuck("%v", err)
 		}
 		if m.Event != nil {
 			m.ev = StepEvent{Kind: StepSet, Addr: dst.Addr()}
 		}
-		return e.Body, nil
-	case WidenT:
+	case tWiden:
 		// Operationally a no-op (§7.1): the cast re-views memory. Ghost Ψ
 		// maintenance lives in the substitution machine only.
-		m.envCells[e.X] = m.cellOf(e.V)
-		return e.Body, nil
-	case OpenRegionT:
-		c := m.cellOf(e.V)
+		m.bindCell(n.x, m.cellOf(n.a))
+	case tOpenRegion:
+		c := m.cellOf(n.a)
 		pk, ok := PackRegionDesc{}, false
 		if c.Tag == CellPackRegion {
 			pk, ok = m.Pool.packRegionAt(c.A)
 		}
 		if !ok {
-			return nil, stuck(e, "open of non-region-package %s", e.V)
+			return m.stuck("open of non-region-package %s", m.source().(OpenRegionT).V)
 		}
-		m.envRegs[e.R] = pk.R
-		m.envCells[e.X] = m.Pool.cellOfWord(c.B)
-		return e.Body, nil
-	case IfRegT:
-		n1, ok1 := m.resolveRegion(e.R1).(RName)
-		n2, ok2 := m.resolveRegion(e.R2).(RName)
+		m.bindRegion(n.r, pk.R)
+		m.bindCell(n.x, m.Pool.cellOfWord(c.B))
+	case tIfReg:
+		n1, ok1 := m.resolveRegion(t.regs[n.r]).(RName)
+		n2, ok2 := m.resolveRegion(t.regs[n.r+1]).(RName)
 		if !ok1 || !ok2 {
-			return nil, stuck(e, "ifreg on region variables")
+			return m.stuck("ifreg on region variables")
 		}
-		if n1 == n2 {
-			return e.Then, nil
+		if n1 != n2 {
+			m.pc = n.alt
+			return nil
 		}
-		return e.Else, nil
-	case If0T:
-		c := m.cellOf(e.V)
+	case tIf0:
+		c := m.cellOf(n.a)
 		if c.Tag != CellNum {
-			return nil, stuck(e, "if0 on non-integer %s", e.V)
+			return m.stuck("if0 on non-integer %s", m.source().(If0T).V)
 		}
-		if c.Num() == 0 {
-			return e.Then, nil
+		if c.Num() != 0 {
+			m.pc = n.alt
+			return nil
 		}
-		return e.Else, nil
 	default:
-		return nil, stuck(e, "no rule for %T", e)
+		return m.stuck("no rule for node kind %d", n.kind)
 	}
+	m.pc++
+	return nil
 }
-
-// tappHeadName is the reserved binding a translucent-call rewrite parks
-// the unwrapped head cell under for the immediately following call step.
-const tappHeadName names.Name = "#tapp-head"
 
 // stepApp mirrors Machine.stepApp: translucent heads first restore their
 // recorded tags in a step of their own, then the code block is fetched from
 // memory and its binders are instantiated. The call protocol resolves every
-// operand against the current environment first, then clears the
-// environment and binds the parameters — code blocks are closed, so nothing
+// operand against the current frames first, then starts the callee's
+// frame and binds the parameters — code blocks are closed, so nothing
 // else can be referenced from the body.
-func (m *EnvMachine) stepApp(e AppT) (Term, error) {
-	fc := m.cellOf(e.Fn)
+func (m *EnvMachine) stepApp(n *lnode) error {
+	app := &m.tab.apps[n.r]
+	fc := m.cellOf(n.a)
 	if fc.Tag == CellTApp {
-		if len(e.Tags) != 0 || len(e.Rs) != 0 {
-			return nil, stuck(e, "translucent call with extra tags or regions")
+		if len(app.tags) != 0 || app.rs != 0 {
+			return m.stuck("translucent call with extra tags or regions")
 		}
-		ta, ok := m.Pool.tappAt(fc.A)
-		if !ok {
-			return nil, stuck(e, "call through corrupted translucent handle")
-		}
-		// The pooled head is fully resolved; the arguments are left in the
-		// rewritten call for the next step to resolve — the environment
-		// cannot change between the rewrite and the call, so the lazy
-		// resolution coincides with an eager one. The head
-		// itself stays a cell, bound under a reserved name no program can
-		// shadow ('#' never survives the pipeline): decoding it to a Value
-		// would hand cellOf a dynamically built value, and the descriptor
-		// memo's identity keying relies on only seeing program-tree nodes.
-		m.envCells[tappHeadName] = m.Pool.cellOfWord(fc.B)
-		return AppT{Fn: Var{Name: tappHeadName}, Tags: ta.Tags, Rs: ta.Rs, Args: e.Args}, nil
+		return m.rewriteTApp(m.pc, fc)
 	}
+	callTags := m.scratchTags[:0]
+	for i := range app.tags {
+		callTags = append(callTags, m.resolveTag(&app.tags[i]))
+	}
+	callRegs := m.scratchRegs[:0]
+	for _, lr := range m.tab.regs[app.r0 : app.r0+app.rs] {
+		callRegs = append(callRegs, m.resolveRegion(lr))
+	}
+	m.scratchTags, m.scratchRegs = callTags, callRegs
+	return m.call(fc, callTags, callRegs, app.args)
+}
+
+// stepTCall performs the call a translucent rewrite left in control. Its
+// tags and regions were resolved when the handle was pooled.
+func (m *EnvMachine) stepTCall() error {
+	fc, _ := lookup(m.cells, tappHeadSlot, m.gen)
+	if fc.Tag == CellTApp {
+		if len(m.tcall.tags) != 0 || len(m.tcall.rs) != 0 {
+			return m.stuck("translucent call with extra tags or regions")
+		}
+		return m.rewriteTApp(m.tcall.app, fc)
+	}
+	return m.call(fc, m.tcall.tags, m.tcall.rs, m.tab.apps[m.tab.nodes[m.tcall.app].r].args)
+}
+
+// rewriteTApp unwraps a translucent head for the call at node app. The
+// pooled head is fully resolved; the arguments are left in the rewritten
+// call for the next step to resolve — the frames cannot change between the
+// rewrite and the call, so the lazy resolution coincides with an eager one.
+// The head stays a cell, parked in the reserved tappHeadSlot, so the
+// rewrite allocates nothing.
+func (m *EnvMachine) rewriteTApp(app int32, fc Cell) error {
+	ta, ok := m.Pool.tappAt(fc.A)
+	if !ok {
+		return m.stuck("call through corrupted translucent handle")
+	}
+	m.bindCell(tappHeadSlot, m.Pool.cellOfWord(fc.B))
+	m.tcall = tcall{app: app, tags: ta.Tags, rs: ta.Rs}
+	m.pc = tcallPC
+	return nil
+}
+
+// call enters the code block fc points to with already resolved tags and
+// regions; the value arguments are resolved here, after the checks.
+func (m *EnvMachine) call(fc Cell, callTags []tags.Tag, callRegs []Region, args []operand) error {
 	if fc.Tag != CellAddr {
-		return nil, stuck(e, "call of non-address %s", m.Pool.Decode(fc))
+		return m.stuck("call of non-address %s", m.Pool.Decode(fc))
 	}
 	addr := fc.Addr()
 	cc, err := m.Mem.Get(addr)
 	if err != nil {
-		return nil, stuck(e, "%v", err)
+		return m.stuck("%v", err)
 	}
-	lam, ok := LamV{}, false
+	var blk *lblock
 	if cc.Tag == CellLam {
-		lam, ok = m.Pool.lamAt(cc.A)
+		blk = m.block(cc.A)
 	}
-	if !ok {
-		return nil, stuck(e, "call of non-code cell %s", addr)
+	if blk == nil {
+		return m.stuck("call of non-code cell %s", addr)
 	}
-	if len(e.Tags) != len(lam.TParams) || len(e.Rs) != len(lam.RParams) || len(e.Args) != len(lam.Params) {
-		return nil, stuck(e, "arity mismatch calling %s", addr)
+	if len(callTags) != int(blk.ntags) || len(callRegs) != int(blk.nregs) || len(args) != len(blk.vparams()) {
+		return m.stuck("arity mismatch calling %s", addr)
 	}
 	if m.Event != nil {
 		m.ev = StepEvent{Kind: StepCall, Addr: addr}
 	}
-	callTags := m.scratchTags[:0]
-	for _, t := range e.Tags {
-		rt, _ := m.tag(t)
-		callTags = append(callTags, rt)
-	}
-	callRegs := m.scratchRegs[:0]
-	for _, r := range e.Rs {
-		rr, _ := m.region(r)
-		callRegs = append(callRegs, rr)
-	}
 	callCells := m.scratchCells[:0]
-	for _, a := range e.Args {
+	for _, a := range args {
 		callCells = append(callCells, m.cellOf(a))
 	}
-	m.scratchTags, m.scratchRegs, m.scratchCells = callTags, callRegs, callCells
-	clear(m.envCells)
-	clear(m.envTags)
-	clear(m.envRegs)
-	clear(m.envTyps)
-	for i, tp := range lam.TParams {
-		m.envTags[tp.Name] = callTags[i]
+	m.scratchCells = callCells
+	m.enter(blk)
+	for i, s := range blk.tparams() {
+		m.bindTag(s, callTags[i])
 	}
-	for i, r := range lam.RParams {
-		m.envRegs[r] = callRegs[i]
+	for i, s := range blk.rparams() {
+		m.bindRegion(s, callRegs[i])
 	}
-	for i, p := range lam.Params {
-		m.envCells[p.Name] = callCells[i]
+	for i, s := range blk.vparams() {
+		m.bindCell(s, callCells[i])
 	}
-	return lam.Body, nil
+	return nil
+}
+
+// enter starts blk's frame: bumping the generation unbinds every slot of
+// every frame at once. On the (once in 2^32 calls) wrap-around the stamps
+// are cleared, so no stale stamp can ever match again.
+func (m *EnvMachine) enter(blk *lblock) {
+	m.gen++
+	if m.gen == 0 {
+		clear(m.cells)
+		clear(m.tags)
+		clear(m.regs)
+		clear(m.typs)
+		m.gen = 1
+	}
+	m.enterAt(blk)
+}
+
+// enterAt moves control to the start of blk's body.
+func (m *EnvMachine) enterAt(blk *lblock) {
+	m.blk, m.tab, m.pc = blk, blk.tab, blk.root
+}
+
+// block returns the lowered code block for a Lams pool index. The program's
+// own blocks were lowered at load time; a literal block the program pooled
+// itself is lowered on its first call.
+func (m *EnvMachine) block(idx uint64) *lblock {
+	if idx < uint64(len(m.code.blocks)) {
+		return m.code.blocks[idx]
+	}
+	lam, ok := m.Pool.lamAt(idx)
+	if !ok {
+		return nil
+	}
+	if blk := m.dyn[idx]; blk != nil {
+		return blk
+	}
+	l := newLowerer(len(m.memo))
+	blk := l.block(&lam, nil)
+	m.adopt(l, blk)
+	if m.dyn == nil {
+		m.dyn = map[uint64]*lblock{}
+	}
+	m.dyn[idx] = blk
+	return blk
+}
+
+// adopt sizes the memo for the literals l numbered and the frames for blk.
+func (m *EnvMachine) adopt(l *lowerer, blk *lblock) {
+	m.memo = append(m.memo, make([]litMemo, l.lits-len(m.memo))...)
+	m.cells = grow(m.cells, blk.width[nsCells])
+	m.tags = grow(m.tags, blk.width[nsTags])
+	m.regs = grow(m.regs, blk.width[nsRegs])
+	m.typs = grow(m.typs, blk.width[nsTyps])
+}
+
+func grow[T any](f []slot[T], n int32) []slot[T] {
+	if int(n) > len(f) {
+		f = append(f, make([]slot[T], int(n)-len(f))...)
+	}
+	return f
 }
 
 // stepOp evaluates a let-bound operation, returning the bound cell.
-func (m *EnvMachine) stepOp(op Op) (Cell, error) {
-	switch op := op.(type) {
-	case ValOp:
-		return m.cellOf(op.V), nil
-	case ProjOp:
-		c := m.cellOf(op.V)
+func (m *EnvMachine) stepOp(n *lnode) (Cell, error) {
+	switch n.op {
+	case opVal:
+		return m.cellOf(n.a), nil
+	case opProj:
+		c := m.cellOf(n.a)
 		if c.Tag != CellPair {
 			return Cell{}, fmt.Errorf("%w: projection from non-pair %s", ErrStuck, m.Pool.Decode(c))
 		}
-		if op.I == 1 {
+		if n.aux == 1 {
 			return m.Pool.cellOfWord(c.A), nil
 		}
 		return m.Pool.cellOfWord(c.B), nil
-	case PutOp:
-		rn, ok := m.resolveRegion(op.R).(RName)
+	case opPut:
+		r := m.resolveRegion(m.tab.regs[n.r])
+		rn, ok := r.(RName)
 		if !ok {
-			return Cell{}, fmt.Errorf("%w: put into region variable %s", ErrStuck, op.R)
+			return Cell{}, fmt.Errorf("%w: put into region variable %s", ErrStuck, r)
 		}
-		c := m.cellOf(op.V)
+		c := m.cellOf(n.a)
 		addr, err := m.Mem.Put(rn.Name, c)
 		if err != nil {
 			return Cell{}, fmt.Errorf("%w: %v", ErrStuck, err)
@@ -462,8 +570,8 @@ func (m *EnvMachine) stepOp(op Op) (Cell, error) {
 			m.ev = StepEvent{Kind: StepPut, Addr: addr, Words: m.Pool.CellWords(c)}
 		}
 		return AddrCell(addr), nil
-	case GetOp:
-		c := m.cellOf(op.V)
+	case opGet:
+		c := m.cellOf(n.a)
 		if c.Tag != CellAddr {
 			return Cell{}, fmt.Errorf("%w: get from non-address %s", ErrStuck, m.Pool.Decode(c))
 		}
@@ -476,21 +584,21 @@ func (m *EnvMachine) stepOp(op Op) (Cell, error) {
 			m.ev = StepEvent{Kind: StepGet, Addr: a}
 		}
 		return cell, nil
-	case StripOp:
-		c := m.cellOf(op.V)
+	case opStrip:
+		c := m.cellOf(n.a)
 		switch c.Tag {
 		case CellInl, CellInr:
 			return m.Pool.cellOfWord(c.A), nil
 		default:
 			return Cell{}, fmt.Errorf("%w: strip of untagged value %s", ErrStuck, m.Pool.Decode(c))
 		}
-	case ArithOp:
-		l := m.cellOf(op.L)
-		r := m.cellOf(op.R)
+	case opArith:
+		l := m.cellOf(n.a)
+		r := m.cellOf(n.b)
 		if l.Tag != CellNum || r.Tag != CellNum {
 			return Cell{}, fmt.Errorf("%w: arithmetic on non-integers", ErrStuck)
 		}
-		switch op.Kind {
+		switch ArithKind(n.aux) {
 		case Add:
 			return NumCell(l.Num() + r.Num()), nil
 		case Sub:
@@ -501,156 +609,194 @@ func (m *EnvMachine) stepOp(op Op) (Cell, error) {
 			return Cell{}, fmt.Errorf("%w: unknown operator", ErrStuck)
 		}
 	default:
-		return Cell{}, fmt.Errorf("%w: unknown op %T", ErrStuck, op)
+		return Cell{}, fmt.Errorf("%w: unknown op kind %d", ErrStuck, n.op)
 	}
 }
 
 // stepTypecase dispatches on the β-normal form of the resolved scrutinee,
 // exactly as Machine.stepTypecase does on the substituted one.
-func (m *EnvMachine) stepTypecase(e TypecaseT) (Term, error) {
-	nf, err := tags.Normalize(m.resolveTag(e.Tag))
+func (m *EnvMachine) stepTypecase(tc *lcase) error {
+	nf, err := tags.Normalize(m.resolveTag(&tc.tag))
 	if err != nil {
-		return nil, stuck(e, "%v", err)
+		return m.stuck("%v", err)
 	}
 	switch t := nf.(type) {
 	case tags.Int:
-		return e.IntArm, nil
+		m.pc = tc.arms[0]
 	case tags.Code:
 		if len(t.Args) != 1 {
-			return nil, stuck(e, "typecase on %d-ary code tag %s", len(t.Args), nf)
+			return m.stuck("typecase on %d-ary code tag %s", len(t.Args), nf)
 		}
-		m.envTags[e.TL] = t.Args[0]
-		return e.LamArm, nil
+		m.bindTag(tc.tl, t.Args[0])
+		m.pc = tc.arms[1]
 	case tags.Prod:
-		m.envTags[e.T1] = t.L
-		m.envTags[e.T2] = t.R
-		return e.ProdArm, nil
+		m.bindTag(tc.t1, t.L)
+		m.bindTag(tc.t2, t.R)
+		m.pc = tc.arms[2]
 	case tags.Exist:
-		m.envTags[e.Te] = tags.Lam{Param: t.Bound, Body: t.Body}
-		return e.ExistArm, nil
+		m.bindTag(tc.te, tags.Lam{Param: t.Bound, Body: t.Body})
+		m.pc = tc.arms[3]
 	default:
-		return nil, stuck(e, "typecase on open tag %s", nf)
+		return m.stuck("typecase on open tag %s", nf)
 	}
+	return nil
 }
 
-// cellOf resolves a term-position value against the environment and packs
-// it: term variables come straight out of envCells (already packed, already
-// closed), literals pack inline when they fit, and the syntax-bearing
-// forms resolve their tag/region/type components through the shared
-// resolver before pooling. Steady-state steps (variables, small literals)
-// allocate nothing.
-func (m *EnvMachine) cellOf(v Value) Cell {
-	// The interface data pointer identifies the syntax node v was read
-	// from; the pack cases key their descriptor memo on it.
-	key := ifaceData(v)
-	switch v := v.(type) {
-	case Num:
-		return NumCell(v.N)
-	case AddrV:
-		return AddrCell(v.Addr)
-	case Var:
-		// Term-variable binders never occur inside values (LamV resolves
-		// through substView), so no shadow stack exists for this namespace.
-		if c, ok := m.envCells[v.Name]; ok {
-			return c
+// resolveRegion resolves a lowered region occurrence. An unbound variable
+// resolves to itself, which only a stuck program ever reads.
+func (m *EnvMachine) resolveRegion(r lreg) Region {
+	if r < 0 {
+		return m.tab.rnames[^r]
+	}
+	if v, ok := lookup(m.regs, int32(r), m.gen); ok {
+		return v
+	}
+	return RVar{Name: m.blk.names()[nsRegs][r]}
+}
+
+// cellOf resolves a term-position value against the frames and packs it:
+// term variables come straight out of their slot (already packed, already
+// closed), number and address literals were packed at load time, and the
+// syntax-bearing forms resolve their tag/region/type components through
+// the shared resolver before pooling. Steady-state steps (variables, small
+// literals) allocate nothing.
+func (m *EnvMachine) cellOf(o operand) Cell {
+	t := m.tab
+	switch o.kind() {
+	case vVar:
+		if s := &m.cells[o.idx()]; s.gen == m.gen {
+			return s.v
 		}
-		return m.Pool.VarCell(v.Name)
-	case PairV:
-		l := m.cellOf(v.L)
-		r := m.cellOf(v.R)
+		return m.Pool.VarCell(m.blk.names()[nsCells][o.idx()])
+	case vConst:
+		return t.consts[o.idx()]
+	case vPair:
+		p := &t.pairs[o.idx()]
+		l := m.cellOf(p[0])
+		r := m.cellOf(p[1])
 		return Cell{Tag: CellPair, A: m.Pool.wordOf(l), B: m.Pool.wordOf(r)}
-	case InlV:
-		return Cell{Tag: CellInl, A: m.Pool.wordOf(m.cellOf(v.Val))}
-	case InrV:
-		return Cell{Tag: CellInr, A: m.Pool.wordOf(m.cellOf(v.Val))}
+	case vInl:
+		return Cell{Tag: CellInl, A: m.Pool.wordOf(m.cellOf(t.pairs[o.idx()][0]))}
+	case vInr:
+		return Cell{Tag: CellInr, A: m.Pool.wordOf(m.cellOf(t.pairs[o.idx()][0]))}
 	// In the pack cases the payload is packed first (it may spill into the
 	// cells pool) and the descriptor second, memoized per literal: on a
 	// hit the annotation is not re-resolved and the pool does not grow.
-	case PackTag:
-		val := m.cellOf(v.Val)
-		desc, nm, hit := m.memoLookup(key, CellPackTag, v.Bound)
+	case vPackTag:
+		p := &t.packs[o.idx()]
+		val := m.cellOf(p.val)
+		desc, hit := m.memoLookup(p)
 		if !hit {
-			tg, _ := m.tag(v.Tag)
-			m.shTags = append(m.shTags, v.Bound)
-			body, _ := m.typ(v.Body)
+			src := p.src.(PackTag)
+			m.sc = &p.sc
+			tg, _ := m.tag(src.Tag)
+			m.shTags = append(m.shTags, src.Bound)
+			body, _ := m.typ(src.Body)
 			m.shTags = m.shTags[:len(m.shTags)-1]
 			desc = uint64(len(m.Pool.packTags))
 			m.Pool.packTags = append(m.Pool.packTags, PackTagDesc{
-				Bound: v.Bound, Kind: v.Kind, Tag: tg, Body: body,
+				Bound: src.Bound, Kind: src.Kind, Tag: tg, Body: body,
 			})
-			m.memoStore(nm, desc, v)
+			m.memoStore(p, desc)
 		}
 		return Cell{Tag: CellPackTag, A: desc, B: m.Pool.wordOf(val)}
-	case PackAlpha:
-		val := m.cellOf(v.Val)
-		desc, nm, hit := m.memoLookup(key, CellPackAlpha, v.Bound)
+	case vPackAlpha:
+		p := &t.packs[o.idx()]
+		val := m.cellOf(p.val)
+		desc, hit := m.memoLookup(p)
 		if !hit {
-			delta, _ := m.regionSlice(v.Delta)
-			hidden, _ := m.typ(v.Hidden)
-			m.shTyps = append(m.shTyps, v.Bound)
-			body, _ := m.typ(v.Body)
+			src := p.src.(PackAlpha)
+			m.sc = &p.sc
+			delta, _ := m.regionSlice(src.Delta)
+			hidden, _ := m.typ(src.Hidden)
+			m.shTyps = append(m.shTyps, src.Bound)
+			body, _ := m.typ(src.Body)
 			m.shTyps = m.shTyps[:len(m.shTyps)-1]
 			desc = uint64(len(m.Pool.packAlphas))
 			m.Pool.packAlphas = append(m.Pool.packAlphas, PackAlphaDesc{
-				Bound: v.Bound, Delta: delta, Hidden: hidden, Body: body,
+				Bound: src.Bound, Delta: delta, Hidden: hidden, Body: body,
 			})
-			m.memoStore(nm, desc, v)
+			m.memoStore(p, desc)
 		}
 		return Cell{Tag: CellPackAlpha, A: desc, B: m.Pool.wordOf(val)}
-	case PackRegion:
-		val := m.cellOf(v.Val)
-		desc, nm, hit := m.memoLookup(key, CellPackRegion, v.Bound)
+	case vPackRegion:
+		p := &t.packs[o.idx()]
+		val := m.cellOf(p.val)
+		desc, hit := m.memoLookup(p)
 		if !hit {
-			delta, _ := m.regionSlice(v.Delta)
-			r, _ := m.region(v.R)
-			m.shRegs = append(m.shRegs, v.Bound)
-			body, _ := m.typ(v.Body)
+			src := p.src.(PackRegion)
+			m.sc = &p.sc
+			delta, _ := m.regionSlice(src.Delta)
+			r, _ := m.region(src.R)
+			m.shRegs = append(m.shRegs, src.Bound)
+			body, _ := m.typ(src.Body)
 			m.shRegs = m.shRegs[:len(m.shRegs)-1]
 			desc = uint64(len(m.Pool.packRegions))
 			m.Pool.packRegions = append(m.Pool.packRegions, PackRegionDesc{
-				Bound: v.Bound, Delta: delta, R: r, Body: body,
+				Bound: src.Bound, Delta: delta, R: r, Body: body,
 			})
-			m.memoStore(nm, desc, v)
+			m.memoStore(p, desc)
 		}
 		return Cell{Tag: CellPackRegion, A: desc, B: m.Pool.wordOf(val)}
-	case TAppV:
-		val := m.cellOf(v.Val)
-		desc, nm, hit := m.memoLookup(key, CellTApp, "")
+	case vTApp:
+		p := &t.packs[o.idx()]
+		val := m.cellOf(p.val)
+		desc, hit := m.memoLookup(p)
 		if !hit {
-			ts, _ := m.tagSlice(v.Tags)
-			rs, _ := m.regionSlice(v.Rs)
+			src := p.src.(TAppV)
+			m.sc = &p.sc
+			ts, _ := m.tagSlice(src.Tags)
+			rs, _ := m.regionSlice(src.Rs)
 			desc = uint64(len(m.Pool.tapps))
 			m.Pool.tapps = append(m.Pool.tapps, TAppDesc{Tags: ts, Rs: rs})
-			m.memoStore(nm, desc, v)
+			m.memoStore(p, desc)
 		}
 		return Cell{Tag: CellTApp, A: desc, B: m.Pool.wordOf(val)}
-	case LamV:
+	case vLam:
 		// Rare: code blocks live in cd and are closed; a literal block only
 		// flows through the environment when a program embeds one in a value
 		// position. Delegate its binder structure to the oracle substitution.
-		resolved, ok := m.substView().Value(v).(LamV)
+		resolved, ok := m.substView().Value(t.lams[o.idx()]).(LamV)
 		if !ok {
 			panic("gclang: lam resolution changed value form")
 		}
 		return m.Pool.LamCell(resolved)
 	default:
-		panic(fmt.Sprintf("gclang: unknown value %T", v))
+		panic(fmt.Sprintf("gclang: unknown value kind %d", o.kind()))
 	}
 }
 
-// substView exposes the current environment as a closed simultaneous
-// substitution for the rare LamV case. The term-variable namespace is
-// decoded into a fresh map — an allocation the literal-code-block path can
-// afford (it never executes in pipeline-compiled programs).
+// substView exposes the current frames as a closed simultaneous
+// substitution, naming each bound slot through the running block's layout.
+// It serves the rare LamV case and ClosedCtrl; the term-variable frame is
+// decoded into a fresh map — an allocation those paths can afford.
 func (m *EnvMachine) substView() *Subst {
 	if len(m.shTags) != 0 || len(m.shRegs) != 0 || len(m.shTyps) != 0 {
 		// Values never occur inside types, so a LamV is never resolved under
 		// a shadowing binder; see the resolver ordering in cellOf().
 		panic("gclang: lam resolution under binder")
 	}
-	vals := make(map[names.Name]Value, len(m.envCells))
-	for n, c := range m.envCells {
+	ns := m.blk.names()
+	vals := map[names.Name]Value{}
+	for n, c := range frameMap(ns[nsCells], m.cells, m.gen) {
 		vals[n] = m.Pool.Decode(c)
 	}
-	return &Subst{Vals: vals, Tags: m.envTags, Regs: m.envRegs, Types: m.envTyps, Closed: true}
+	return &Subst{
+		Vals:   vals,
+		Tags:   frameMap(ns[nsTags], m.tags, m.gen),
+		Regs:   frameMap(ns[nsRegs], m.regs, m.gen),
+		Types:  frameMap(ns[nsTyps], m.typs, m.gen),
+		Closed: true,
+	}
+}
+
+// frameMap names the bound slots of one frame through a layout.
+func frameMap[T any](ns []names.Name, f []slot[T], gen uint32) map[names.Name]T {
+	out := make(map[names.Name]T, len(ns))
+	for i, n := range ns {
+		if f[i].gen == gen {
+			out[n] = f[i].v
+		}
+	}
+	return out
 }

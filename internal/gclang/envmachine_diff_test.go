@@ -18,8 +18,11 @@ import (
 // the final result plus the entire memory contents at halt. StepEvents are
 // fixed-size comparable structs, so the comparison is exact: both engines
 // must classify every transition identically (same kind, same address,
-// same word count, same step number — or no event at all).
-func coStep(t *testing.T, sm *gclang.Machine, em *gclang.EnvMachine, fuel int) {
+// same word count, same step number — or no event at all). With
+// closedCtrl, the env machine's control term closed over its frames
+// (ClosedCtrl, the view Image and RestoreOracle are built on) must also
+// print exactly as the substitution machine's term at every step.
+func coStep(t *testing.T, sm *gclang.Machine, em *gclang.EnvMachine, fuel int, closedCtrl bool) {
 	t.Helper()
 	var sEv, eEv gclang.StepEvent
 	sPrev, ePrev := sm.Event, em.Event
@@ -35,6 +38,15 @@ func coStep(t *testing.T, sm *gclang.Machine, em *gclang.EnvMachine, fuel int) {
 			ePrev(ev)
 		}
 	}
+	checkCtrl := func() {
+		if !closedCtrl {
+			return
+		}
+		if sc, ec := sm.Term.String(), em.ClosedCtrl().String(); sc != ec {
+			t.Fatalf("step %d: control terms:\n  subst: %s\n  env:   %s", sm.Steps, sc, ec)
+		}
+	}
+	checkCtrl()
 	for !sm.Halted {
 		if fuel <= 0 {
 			t.Fatalf("out of fuel at step %d", sm.Steps)
@@ -62,6 +74,7 @@ func coStep(t *testing.T, sm *gclang.Machine, em *gclang.EnvMachine, fuel int) {
 		if sEv != eEv {
 			t.Fatalf("step %d: step event:\n  subst: %+v\n  env:   %+v", sm.Steps, sEv, eEv)
 		}
+		checkCtrl()
 	}
 	if !em.Halted {
 		t.Fatal("env machine not halted when subst machine is")
@@ -112,7 +125,7 @@ func TestEnvMachineAgreesWithSubst(t *testing.T) {
 						t.Fatal(err)
 					}
 					sm, em := newEnginePair(d, c.Prog, 0)
-					coStep(t, sm, em, 2_000_000)
+					coStep(t, sm, em, 2_000_000, true)
 				})
 			}
 		}
@@ -145,7 +158,9 @@ func TestEnvMachineAgreesWithSubst(t *testing.T) {
 				rs, re := c.Recorder(), c.Recorder()
 				rs.Attach(sm)
 				re.AttachEnv(em)
-				coStep(t, sm, em, 40_000_000)
+				// No per-step control-term compare here: printing both terms
+				// every step would cost the population sweep 7×.
+				coStep(t, sm, em, 40_000_000, false)
 				tls, tle := rs.Timeline(), re.Timeline()
 				if !reflect.DeepEqual(tls, tle) {
 					t.Fatalf("program %d (%s): timelines diverged:\nsubst: %+v\nenv:   %+v",

@@ -311,3 +311,21 @@ func TestProgramSize(t *testing.T) {
 		t.Fatalf("ProgramSize with code = %d, want 12", got)
 	}
 }
+
+func TestEnvMachineCallsPooledLiteralBlock(t *testing.T) {
+	// A literal code block the program stores itself is not one of the
+	// program's lowered blocks: the machine lowers it on its first call and
+	// reuses that lowering when the block calls itself again.
+	g := LamV{RParams: []nameN{"r"}, Params: []Param{{Name: "x", Ty: IntT{}}, {Name: "k", Ty: IntT{}}},
+		Body: If0T{V: Var{Name: "x"}, Then: HaltT{V: Num{N: 9}},
+			Else: LetT{X: "y", Op: ArithOp{Kind: Sub, L: Var{Name: "x"}, R: Num{N: 1}},
+				Body: AppT{Fn: Var{Name: "k"}, Rs: []Region{RVar{Name: "r"}},
+					Args: []Value{Var{Name: "y"}, Var{Name: "k"}}}}}}
+	prog := Program{Main: LetRegionT{R: "r", Body: LetT{
+		X: "f", Op: PutOp{R: CDRegion, V: g},
+		Body: AppT{Fn: Var{Name: "f"}, Rs: []Region{RVar{Name: "r"}},
+			Args: []Value{Num{N: 3}, Var{Name: "f"}}}}}}
+	if v := compareEngines(t, Base, prog, 0, 100); v.(Num).N != 9 {
+		t.Fatalf("result = %s, want 9", v)
+	}
+}

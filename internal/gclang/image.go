@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"unsafe"
 
 	"psgc/internal/names"
 	"psgc/internal/regions"
@@ -33,8 +32,15 @@ import (
 //     all — it is replaced wholesale by the locally certified program's
 //     blocks, exactly as the peer import replaces the collector prefix.
 //
+// An environment machine's frames are slot-addressed (lower.go); an image
+// names them. Image reads every bound slot back through the running
+// block's layout (slot → name), so the image holds the same name-keyed
+// environment a map-based machine would, and restore lowers the image's
+// control term in a fresh frame whose slots are the image's names.
+//
 // What is deliberately NOT serialized: the descriptor memo (a pure cache,
 // rebuilt on demand; resumed runs re-learn it with no observable effect),
+// the lowered code (rebuilt from the certified program),
 // event hooks (re-attached by the caller), and ghost state (ghost runs are
 // a verification mode, not a production mode, and are refused).
 
@@ -79,30 +85,18 @@ func (m *EnvMachine) Image() (MachineImage, error) {
 	if len(m.shTags) != 0 || len(m.shRegs) != 0 || len(m.shTyps) != 0 {
 		return MachineImage{}, fmt.Errorf("gclang: image mid-resolution")
 	}
-	img := MachineImage{
+	ns := m.blk.names()
+	return MachineImage{
 		Dialect:  m.Dialect,
-		Ctrl:     m.Ctrl,
+		Ctrl:     m.source(),
 		Steps:    m.Steps,
-		EnvCells: make(map[names.Name]Cell, len(m.envCells)),
-		EnvTags:  make(map[names.Name]tags.Tag, len(m.envTags)),
-		EnvRegs:  make(map[names.Name]Region, len(m.envRegs)),
-		EnvTyps:  make(map[names.Name]Type, len(m.envTyps)),
+		EnvCells: frameMap(ns[nsCells], m.cells, m.gen),
+		EnvTags:  frameMap(ns[nsTags], m.tags, m.gen),
+		EnvRegs:  frameMap(ns[nsRegs], m.regs, m.gen),
+		EnvTyps:  frameMap(ns[nsTyps], m.typs, m.gen),
 		Pool:     m.Pool.image(),
 		Heap:     regions.Snapshot[Cell](m.Mem),
-	}
-	for n, c := range m.envCells {
-		img.EnvCells[n] = c
-	}
-	for n, t := range m.envTags {
-		img.EnvTags[n] = t
-	}
-	for n, r := range m.envRegs {
-		img.EnvRegs[n] = r
-	}
-	for n, t := range m.envTyps {
-		img.EnvTyps[n] = t
-	}
-	return img, nil
+	}, nil
 }
 
 // Image captures the substitution machine's state at the current step
@@ -143,9 +137,17 @@ func (p *Pools) image() PoolImage {
 // is untrusted: the heap image must satisfy the substrate's counter
 // identities, every cell must validate against the pools it indexes, and
 // the cd region must contain exactly p's code blocks, whose pool entries
-// are replaced with the local (typechecked) ones.
+// are replaced with the local (typechecked) ones. It lowers p first;
+// Code.RestoreEnvMachine reuses an already lowered program.
 func RestoreEnvMachine(b regions.Backend, d Dialect, p Program, img MachineImage) (*EnvMachine, error) {
-	if err := validateImage(p, &img); err != nil {
+	return Lower(p).RestoreEnvMachine(b, d, img)
+}
+
+// RestoreEnvMachine is the package-level RestoreEnvMachine against the
+// lowered program c. The image's control term is lowered on the spot, in
+// a frame whose slots are the image's bound names.
+func (c *Code) RestoreEnvMachine(b regions.Backend, d Dialect, img MachineImage) (*EnvMachine, error) {
+	if err := validateImage(c.prog, &img); err != nil {
 		return nil, err
 	}
 	if d != img.Dialect {
@@ -155,27 +157,23 @@ func RestoreEnvMachine(b regions.Backend, d Dialect, p Program, img MachineImage
 	if err != nil {
 		return nil, fmt.Errorf("gclang: restore: %w", err)
 	}
-	m := &EnvMachine{
-		Dialect:  d,
-		Mem:      mem,
-		Pool:     poolFromImage(p, img.Pool),
-		Ctrl:     img.Ctrl,
-		Steps:    img.Steps,
-		envCells: make(map[names.Name]Cell, len(img.EnvCells)),
-		packMemo: map[unsafe.Pointer]*nodeMemo{},
-	}
-	m.initResolver()
-	for n, c := range img.EnvCells {
-		m.envCells[n] = c
+	m := c.newMachine(d, mem, poolFromImage(c.prog, img.Pool))
+	m.Steps = img.Steps
+	l := newLowerer(c.lits)
+	blk := l.restored(&img)
+	m.adopt(l, blk)
+	m.enterAt(blk)
+	for n, cell := range img.EnvCells {
+		m.bindCell(l.index[nsCells][n], cell)
 	}
 	for n, t := range img.EnvTags {
-		m.envTags[n] = t
+		m.bindTag(l.index[nsTags][n], t)
 	}
 	for n, r := range img.EnvRegs {
-		m.envRegs[n] = r
+		m.bindRegion(l.index[nsRegs][n], r)
 	}
 	for n, t := range img.EnvTyps {
-		m.envTyps[n] = t
+		m.bindType(l.index[nsTyps][n], t)
 	}
 	return m, nil
 }
@@ -204,7 +202,7 @@ func RestoreMachine(b regions.Backend, d Dialect, p Program, img MachineImage) (
 // as a closed simultaneous substitution — the term a substitution machine
 // at this same state would be holding. Only legal at a step boundary.
 func (m *EnvMachine) ClosedCtrl() Term {
-	return m.substView().Term(m.Ctrl)
+	return m.substView().Term(m.source())
 }
 
 // RestoreOracle rebuilds a substitution machine from an *environment*

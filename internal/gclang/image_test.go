@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 
+	"psgc"
+	"psgc/internal/collector"
 	"psgc/internal/gclang"
 	"psgc/internal/regions"
 	"psgc/internal/workload"
@@ -92,6 +94,94 @@ func TestEnvImageCrossBackendResume(t *testing.T) {
 					t.Fatalf("stats %+v, uninterrupted %+v", res.Mem.Stats(), ref.Mem.Stats())
 				}
 			})
+		}
+	}
+}
+
+// TestEnvImageResumesAtLoweringBoundaries images a pipeline-compiled run
+// at the states the slot-addressed frames treat specially — right after a
+// translucent-call rewrite (the head parked in its reserved slot, before
+// the call), at the first step inside a collection, and right after a call
+// into a block whose frame is wider than its caller's — and resumes each
+// image, gob round-tripped, on the other backend. The resumed run must end
+// exactly as the uninterrupted one: same result, steps, and counters.
+func TestEnvImageResumesAtLoweringBoundaries(t *testing.T) {
+	points := []struct {
+		name string
+		// at reports whether the step just taken (pending is what
+		// PendingCall said before it, width the frame size before it)
+		// reached the point.
+		at func(m *gclang.EnvMachine, entries map[regions.Addr]bool, pending regions.Addr, called bool, width int) bool
+	}{
+		{"translucent-rewrite", func(m *gclang.EnvMachine, _ map[regions.Addr]bool, _ regions.Addr, _ bool, _ int) bool {
+			return gclang.InTranslucentCall(m)
+		}},
+		{"collection-entry", func(_ *gclang.EnvMachine, entries map[regions.Addr]bool, pending regions.Addr, called bool, _ int) bool {
+			return called && entries[pending]
+		}},
+		{"wider-callee", func(m *gclang.EnvMachine, _ map[regions.Addr]bool, _ regions.Addr, called bool, width int) bool {
+			return called && gclang.FrameSlots(m) > width
+		}},
+	}
+	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
+		c, err := psgc.Compile(workload.AllocHeavySrc(25), col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := collector.Load(col.Dialect())
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[regions.Addr]bool{}
+		for _, a := range v.Entries {
+			entries[a] = true
+		}
+		for _, pt := range points {
+			for _, pair := range [][2]regions.Backend{
+				{regions.BackendMap, regions.BackendArena},
+				{regions.BackendArena, regions.BackendMap},
+			} {
+				from, to := pair[0], pair[1]
+				t.Run(fmt.Sprintf("%s/%s/%s_to_%s", col, pt.name, from, to), func(t *testing.T) {
+					opts := psgc.RunOptions{Capacity: 16, Backend: from}
+					ref := c.NewEnvMachine(opts)
+					if _, err := ref.Run(2_000_000); err != nil {
+						t.Fatal(err)
+					}
+					m := c.NewEnvMachine(opts)
+					for {
+						if m.Halted {
+							t.Fatalf("halted at step %d without reaching the point", m.Steps)
+						}
+						pending, called := m.PendingCall()
+						width := gclang.FrameSlots(m)
+						if err := m.Step(); err != nil {
+							t.Fatal(err)
+						}
+						if !m.Halted && pt.at(m, entries, pending, called, width) {
+							break
+						}
+					}
+					img, err := m.Image()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, parked := img.EnvCells["#tapp-head"]; parked != (pt.name == "translucent-rewrite") {
+						t.Fatalf("image binds the translucent head: %v", parked)
+					}
+					res, err := gclang.RestoreEnvMachine(to, col.Dialect(), c.Prog, gobRoundTrip(t, img))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := res.Run(2_000_000); err != nil {
+						t.Fatal(err)
+					}
+					if res.Result.String() != ref.Result.String() || res.Steps != ref.Steps || res.Mem.Stats() != ref.Mem.Stats() {
+						t.Fatalf("resumed from step %d: %s/%d/%+v, uninterrupted %s/%d/%+v", img.Steps,
+							res.Result, res.Steps, res.Mem.Stats(), ref.Result, ref.Steps, ref.Mem.Stats())
+					}
+				})
+			}
 		}
 	}
 }

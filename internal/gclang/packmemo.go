@@ -2,7 +2,6 @@ package gclang
 
 import (
 	"fmt"
-	"unsafe"
 
 	"psgc/internal/names"
 	"psgc/internal/tags"
@@ -15,40 +14,28 @@ import (
 // body) against the environment and append a fresh pool entry — profiles
 // showed that resolution, not mutator work, dominating whole-run time on
 // the packed machine. But a descriptor (see cell.go) depends on exactly
-// two things: the pack literal in the program text and the type-level
-// environment it resolves under. Both recur: the literal is a fixed tree
-// node, and a copy loop re-enters its code block with the same handful of
-// region and tag bindings for every cell it copies. So the machine keeps,
-// per pack literal, a small cache of (type-level environment → descriptor
-// index); a hit skips resolution and pool growth entirely, which is what
-// lets a collection's packages share one descriptor.
+// two things: the pack literal in the program text and the bindings of
+// its annotation's free variables. Both recur: the literal is fixed
+// syntax, and a copy loop re-enters its code block with the same handful
+// of region and tag bindings for every cell it copies. So the machine
+// keeps, per pack literal, a small cache of (free-variable bindings →
+// descriptor index); a hit skips resolution and pool growth entirely,
+// which is what lets a collection's packages share one descriptor.
 //
-// The cache key is the identity of the pack literal: the data pointer of
-// its Value interface. Program syntax is built once and retained by the
-// machine for its lifetime, so tree-node pointers are stable and never
-// reused. The machine only ever packs literals from the program tree —
-// decoded values re-enter control flow solely as translucent call heads,
-// which are code values, not packages — so dynamically built values do
-// not reach this cache. Hits additionally verify the recorded bindings
-// value-by-value (below), so a colliding key costs a miss, never a wrong
-// descriptor... provided the colliding node resolves identically under
-// identical environments, which is exactly what the per-binding check
-// cannot distinguish; the binder-name guard in lookup narrows that
-// further.
-//
-// Validity is checked by value, not by generation: a snapshot records
-// the bindings of the annotation's free variables — computed once per
-// literal by a syntax walk that mirrors the resolver's shadow discipline
-// — and a hit requires those bindings (including absences) to match the
-// current environment. Resolution only ever consults the free variables
-// of what it resolves, so comparing exactly those names is as sound as
-// comparing the whole environment and far cheaper: a pack annotation
-// typically mentions one or two region variables and a witness tag,
-// while the environment carries every binding the program has built up.
-// Equality is structural identity (stricter than α-equivalence) — a
-// false negative costs one redundant resolution, never correctness. The
-// term-variable environment is irrelevant: term variables cannot occur
-// in types, the same fact resolver.typ's short-circuit rests on.
+// The lowering pass (lower.go) numbers the pack literals of a program
+// densely and records, per literal, the frame slots of its annotation's
+// free variables — computed by a syntax walk that mirrors the resolver's
+// shadow discipline. The memo is therefore a per-machine slice indexed by
+// literal number, and validity is checked by value: an entry records what
+// those slots held (nil for unbound) when the descriptor was resolved,
+// and a hit requires the current slots to hold the same. Resolution only
+// ever consults the free variables of what it resolves, so comparing
+// exactly those slots is as sound as comparing the whole environment and
+// far cheaper. Equality is structural identity (stricter than
+// α-equivalence) — a false negative costs one redundant resolution, never
+// correctness. The term-variable frame is irrelevant: term variables
+// cannot occur in types, the same fact resolver.typ's short-circuit rests
+// on.
 
 // memoCap bounds the environments remembered per pack literal. A copy
 // loop cycles through one environment per (from, to, tag) combination —
@@ -56,159 +43,104 @@ import (
 // previous collection's entries; replace-oldest keeps the window tight.
 const memoCap = 16
 
-// A binding records what the environment said about one free variable of
-// the annotation when the descriptor was resolved; ok distinguishes "bound
-// to this" from "unbound" (an unbound variable resolves to itself, so it
-// must still be unbound for the entry to apply).
-type regBinding struct {
-	n  names.Name
-	r  Region
-	ok bool
-}
-
-type tagBinding struct {
-	n  names.Name
-	t  tags.Tag
-	ok bool
-}
-
-type typBinding struct {
-	n  names.Name
-	t  Type
-	ok bool
-}
-
-// memoEntry is one resolved descriptor together with the bindings of the
-// annotation's free variables it was resolved under.
+// memoEntry is one resolved descriptor together with what the literal's
+// free-variable slots held when it was resolved, in scope order.
 type memoEntry struct {
-	regs []regBinding
-	tags []tagBinding
-	typs []typBinding
+	regs []Region
+	tags []tags.Tag
+	typs []Type
 	desc uint64
 }
 
-// freeVars holds the free variables of a pack literal's annotation, split
-// by namespace. Computed once per literal (the annotation is fixed
-// syntax) and deduplicated; order is irrelevant.
-type freeVars struct {
-	tags []names.Name
-	regs []names.Name
-	typs []names.Name
-}
-
-// nodeMemo is the per-literal cache: which pack form the literal is (a
-// guard against key collisions), the annotation's free variables, and a
-// replace-oldest ring of entries.
-type nodeMemo struct {
-	kind    CellTag
-	bound   names.Name
-	fv      freeVars
-	fvSet   bool
+// litMemo is one literal's cache: a replace-oldest ring of entries, and
+// the entry that hit last, which is probed first.
+type litMemo struct {
 	entries []memoEntry
 	next    int
+	last    int
 }
 
-// ifaceData returns the data pointer of a Value interface — the identity
-// of the syntax node it was read from. Safe because gclang syntax nodes
-// are multi-word structs: the interface data word is always a pointer to
-// the boxed copy made when the tree was built.
-func ifaceData(v Value) unsafe.Pointer {
-	return (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]
-}
-
-// memoLookup finds a descriptor for the pack literal identified by key,
-// valid under the current type-level environment. On a miss it returns
-// the nodeMemo to record the freshly resolved descriptor into (nil when
-// memoization does not apply, e.g. under shadowing binders).
-func (m *EnvMachine) memoLookup(key unsafe.Pointer, kind CellTag, bound names.Name) (uint64, *nodeMemo, bool) {
-	if len(m.shTags)+len(m.shRegs)+len(m.shTyps) != 0 {
-		// Resolving under a shadow stack (a pack nested inside another
-		// annotation): rare, and the stack state would have to join the
-		// key. Resolve unmemoized.
-		return 0, nil, false
-	}
-	nm := m.packMemo[key]
-	if nm == nil {
-		nm = &nodeMemo{kind: kind, bound: bound}
-		m.packMemo[key] = nm
-	} else if nm.kind != kind || nm.bound != bound {
-		// The key identifies a different literal than it used to (only
-		// possible for a non-tree value, which the machine never packs);
-		// reset rather than trust any recorded entry.
-		*nm = nodeMemo{kind: kind, bound: bound}
-	}
-	for i := range nm.entries {
-		if m.memoValid(&nm.entries[i]) {
-			return nm.entries[i].desc, nm, true
+// memoLookup finds a descriptor for the pack literal valid under the
+// current frames.
+func (m *EnvMachine) memoLookup(p *lpack) (uint64, bool) {
+	lm := &m.memo[p.lit]
+	n := len(lm.entries)
+	for i, j := 0, lm.last; i < n; i, j = i+1, j+1 {
+		if j == n {
+			j = 0
+		}
+		if m.memoValid(&p.sc, &lm.entries[j]) {
+			lm.last = j
+			return lm.entries[j].desc, true
 		}
 	}
-	return 0, nm, false
+	return 0, false
 }
 
 // memoStore records a freshly resolved descriptor under a snapshot of the
-// annotation's free-variable bindings. The literal is passed so the free
-// variables can be computed on the node's first store.
-func (m *EnvMachine) memoStore(nm *nodeMemo, desc uint64, v Value) {
-	if nm == nil {
-		return
-	}
-	if !nm.fvSet {
-		nm.fv = packFreeVars(v)
-		nm.fvSet = true
-	}
+// literal's free-variable slots.
+func (m *EnvMachine) memoStore(p *lpack, desc uint64) {
+	sc := &p.sc
 	e := memoEntry{desc: desc}
-	if n := len(nm.fv.regs); n > 0 {
-		e.regs = make([]regBinding, n)
-		for i, name := range nm.fv.regs {
-			r, ok := m.envRegs[name]
-			e.regs[i] = regBinding{n: name, r: r, ok: ok}
+	if n := len(sc.regs); n > 0 {
+		e.regs = make([]Region, n)
+		for i, f := range sc.regs {
+			e.regs[i], _ = lookup(m.regs, f.slot, m.gen)
 		}
 	}
-	if n := len(nm.fv.tags); n > 0 {
-		e.tags = make([]tagBinding, n)
-		for i, name := range nm.fv.tags {
-			t, ok := m.envTags[name]
-			e.tags[i] = tagBinding{n: name, t: t, ok: ok}
+	if n := len(sc.tags); n > 0 {
+		e.tags = make([]tags.Tag, n)
+		for i, f := range sc.tags {
+			e.tags[i], _ = lookup(m.tags, f.slot, m.gen)
 		}
 	}
-	if n := len(nm.fv.typs); n > 0 {
-		e.typs = make([]typBinding, n)
-		for i, name := range nm.fv.typs {
-			t, ok := m.envTyps[name]
-			e.typs[i] = typBinding{n: name, t: t, ok: ok}
+	if n := len(sc.typs); n > 0 {
+		e.typs = make([]Type, n)
+		for i, f := range sc.typs {
+			e.typs[i], _ = lookup(m.typs, f.slot, m.gen)
 		}
 	}
-	if len(nm.entries) < memoCap {
-		nm.entries = append(nm.entries, e)
+	lm := &m.memo[p.lit]
+	if len(lm.entries) < memoCap {
+		lm.last = len(lm.entries)
+		lm.entries = append(lm.entries, e)
 		return
 	}
-	nm.entries[nm.next] = e
-	nm.next = (nm.next + 1) % memoCap
+	lm.entries[lm.next] = e
+	lm.last = lm.next
+	lm.next = (lm.next + 1) % memoCap
 }
 
-// memoValid reports whether the entry's free-variable bindings match the
-// current environment — bound names must carry structurally identical
-// values, unbound names must still be unbound.
-func (m *EnvMachine) memoValid(e *memoEntry) bool {
-	for i := range e.regs {
-		b := &e.regs[i]
-		if r, ok := m.envRegs[b.n]; ok != b.ok || (ok && r != b.r) {
+// memoValid reports whether the entry's recorded slots match the current
+// frames — bound slots must carry structurally identical values, unbound
+// ones must still be unbound.
+func (m *EnvMachine) memoValid(sc *scope, e *memoEntry) bool {
+	for i, f := range sc.regs {
+		if r, _ := lookup(m.regs, f.slot, m.gen); r != e.regs[i] {
 			return false
 		}
 	}
-	for i := range e.tags {
-		b := &e.tags[i]
-		if t, ok := m.envTags[b.n]; ok != b.ok || (ok && !tagIdentical(t, b.t)) {
+	for i, f := range sc.tags {
+		t, ok := lookup(m.tags, f.slot, m.gen)
+		if ok != (e.tags[i] != nil) || (ok && !tagIdentical(t, e.tags[i])) {
 			return false
 		}
 	}
-	for i := range e.typs {
-		b := &e.typs[i]
-		if t, ok := m.envTyps[b.n]; ok != b.ok || (ok && !typeIdentical(t, b.t)) {
+	for i, f := range sc.typs {
+		t, ok := lookup(m.typs, f.slot, m.gen)
+		if ok != (e.typs[i] != nil) || (ok && !typeIdentical(t, e.typs[i])) {
 			return false
 		}
 	}
 	return true
+}
+
+// freeVars holds the free variables of a piece of annotation syntax, split
+// by namespace and deduplicated; order is irrelevant.
+type freeVars struct {
+	tags []names.Name
+	regs []names.Name
+	typs []names.Name
 }
 
 // fvWalker accumulates the free variables of annotation syntax under the
@@ -341,7 +273,7 @@ func (w *fvWalker) typ(t Type) {
 }
 
 // packFreeVars computes the free variables of a pack literal's annotation
-// — exactly the names cellOf's miss path can ask the environment for,
+// — exactly the names cellOf's miss path can ask the frames for,
 // with the pack's own binder shadowed over the part it scopes (mirroring
 // the shadow pushes in cellOf).
 func packFreeVars(v Value) freeVars {

@@ -322,7 +322,7 @@ func Normalize(t Tag) (Tag, error) {
 		return t, nil
 	}
 	fuel := DefaultFuel
-	nf, err := normalize(t, &fuel)
+	nf, _, err := normalize(t, &fuel)
 	if err != nil {
 		return nil, err
 	}
@@ -366,59 +366,78 @@ func MustNormalize(t Tag) Tag {
 	return nf
 }
 
-func normalize(t Tag, fuel *int) (Tag, error) {
+// normalize returns t's normal form and whether it differs from t. A
+// subtree with no redex comes back as the very interface value passed in,
+// so a normal component of a tag that does contain a redex is shared, not
+// rebuilt.
+func normalize(t Tag, fuel *int) (Tag, bool, error) {
 	if *fuel <= 0 {
-		return nil, ErrNoFuel
+		return nil, false, ErrNoFuel
 	}
 	*fuel--
-	switch t := t.(type) {
+	switch tt := t.(type) {
 	case Var, Int:
-		return t, nil
+		return t, false, nil
 	case Prod:
-		l, err := normalize(t.L, fuel)
+		l, cl, err := normalize(tt.L, fuel)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		r, err := normalize(t.R, fuel)
+		r, cr, err := normalize(tt.R, fuel)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return Prod{L: l, R: r}, nil
+		if !cl && !cr {
+			return t, false, nil
+		}
+		return Prod{L: l, R: r}, true, nil
 	case Code:
-		args := make([]Tag, len(t.Args))
-		for i, a := range t.Args {
-			na, err := normalize(a, fuel)
+		var args []Tag
+		for i, a := range tt.Args {
+			na, ca, err := normalize(a, fuel)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			args[i] = na
+			if ca && args == nil {
+				args = append([]Tag(nil), tt.Args...)
+			}
+			if args != nil {
+				args[i] = na
+			}
 		}
-		return Code{Args: args}, nil
+		if args == nil {
+			return t, false, nil
+		}
+		return Code{Args: args}, true, nil
 	case Exist:
-		body, err := normalize(t.Body, fuel)
-		if err != nil {
-			return nil, err
+		body, cb, err := normalize(tt.Body, fuel)
+		if err != nil || !cb {
+			return t, false, err
 		}
-		return Exist{Bound: t.Bound, Body: body}, nil
+		return Exist{Bound: tt.Bound, Body: body}, true, nil
 	case Lam:
-		body, err := normalize(t.Body, fuel)
-		if err != nil {
-			return nil, err
+		body, cb, err := normalize(tt.Body, fuel)
+		if err != nil || !cb {
+			return t, false, err
 		}
-		return Lam{Param: t.Param, Body: body}, nil
+		return Lam{Param: tt.Param, Body: body}, true, nil
 	case App:
-		fn, err := normalize(t.Fn, fuel)
+		fn, cf, err := normalize(tt.Fn, fuel)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		arg, err := normalize(t.Arg, fuel)
+		arg, ca, err := normalize(tt.Arg, fuel)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if lam, ok := fn.(Lam); ok {
-			return normalize(Subst(lam.Body, lam.Param, arg), fuel)
+			nf, _, err := normalize(Subst(lam.Body, lam.Param, arg), fuel)
+			return nf, true, err
 		}
-		return App{Fn: fn, Arg: arg}, nil
+		if !cf && !ca {
+			return t, false, nil
+		}
+		return App{Fn: fn, Arg: arg}, true, nil
 	default:
 		panic(fmt.Sprintf("tags: unknown tag %T", t))
 	}

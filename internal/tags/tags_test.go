@@ -105,6 +105,29 @@ func TestNormalizeUnderBinder(t *testing.T) {
 	}
 }
 
+// TestNormalizeSharesNormalSubtrees pins that normalizing a tag with a
+// redex in one component does not rebuild the others: the large normal
+// component must come back shared, so the whole normalization allocates at
+// most one node (the new Prod) beyond normalizing the redex alone.
+func TestNormalizeSharesNormalSubtrees(t *testing.T) {
+	var n Tag = Int{}
+	for i := 0; i < 64; i++ {
+		n = Prod{L: Code{Args: []Tag{n}}, R: Exist{Bound: "u", Body: Prod{L: tv("u"), R: Int{}}}}
+	}
+	r := App{Fn: Lam{Param: "t", Body: Prod{L: tv("t"), R: tv("t")}}, Arg: Int{}}
+	var whole Tag = Prod{L: n, R: r}
+	var redex Tag = r
+	base := testing.AllocsPerRun(100, func() { MustNormalize(redex) })
+	got := testing.AllocsPerRun(100, func() { MustNormalize(whole) })
+	if got > base+1 {
+		t.Fatalf("Normalize(Prod{normal, redex}) made %.0f allocs, Normalize(redex) %.0f: normal subtree rebuilt", got, base)
+	}
+	nf := MustNormalize(whole).(Prod)
+	if !Equal(nf.L, n) || !Equal(nf.R, Prod{L: Int{}, R: Int{}}) {
+		t.Fatalf("normal form %s", nf)
+	}
+}
+
 func TestNormalizeDivergent(t *testing.T) {
 	// ω ω where ω = λt. t t — ill-kinded, must exhaust fuel, not hang.
 	omega := Lam{Param: "t", Body: App{Fn: tv("t"), Arg: tv("t")}}

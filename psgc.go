@@ -91,6 +91,10 @@ type Compiled struct {
 	// both seed the GC-event Recorder.
 	entryNames    map[regions.Addr]string
 	collectorFuns int
+	// code is Prog lowered for the environment machine, built once here
+	// and shared by every run (the collector prefix is the verified
+	// collector's own lowered code).
+	code *gclang.Code
 }
 
 // Compile parses, typechecks and compiles a source program, linking it
@@ -191,6 +195,7 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	return &Compiled{
 		Collector: col, Prog: elab, Source: p, Clos: lp,
 		entries: entries, entryNames: entryNames, collectorFuns: len(v.Funs),
+		code: gclang.LowerOnto(v.Code, elab),
 	}, nil
 }
 
@@ -246,6 +251,7 @@ func compileProgramCold(p source.Program, col Collector) (*Compiled, error) {
 	return &Compiled{
 		Collector: col, Prog: elab, Source: p, Clos: lp,
 		entries: entries, entryNames: entryNames, collectorFuns: collectorFuns,
+		code: gclang.Lower(elab),
 	}, nil
 }
 
@@ -446,7 +452,7 @@ func (c *Compiled) NewMachine(opts RunOptions) *gclang.Machine {
 // machine (the default Run engine). Ghost mode is not available on it; use
 // NewMachine for stepping with Ψ.
 func (c *Compiled) NewEnvMachine(opts RunOptions) *gclang.EnvMachine {
-	m := gclang.NewEnvMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
+	m := c.code.NewEnvMachine(opts.Backend, c.Collector.Dialect(), opts.Capacity)
 	m.Mem.SetAutoGrow(!opts.FixedCapacity)
 	if opts.WrapStore != nil {
 		m.Mem = opts.WrapStore(m.Mem)
@@ -627,7 +633,7 @@ func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
 	collections := 0
 	if ck := opts.ResumeFrom; ck != nil {
 		var err error
-		m, err = gclang.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
+		m, err = c.code.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), ck.image)
 		if err != nil {
 			return Result{}, fmt.Errorf("psgc: resume: %w", err)
 		}

@@ -133,5 +133,6 @@ func recertify(col Collector, prog gclang.Program) (*Compiled, error) {
 	return &Compiled{
 		Collector: col, Prog: elab,
 		entries: entries, entryNames: entryNames, collectorFuns: len(v.Funs),
+		code: gclang.LowerOnto(v.Code, elab),
 	}, nil
 }
