@@ -142,7 +142,7 @@ func TestCoCheckValidatesArena(t *testing.T) {
 // oracle's), and the recorded op sequence replays without error on fresh
 // map and arena stores — cd re-seeded first, since the machine loads its
 // code before the wrapper attaches — which both end with the recorded
-// store's Stats.
+// store's Stats. The trace's reads are exactly the Result's Gets.
 func TestTracedCoCheckedRunReplays(t *testing.T) {
 	const capacity = 32
 	for _, col := range allCollectors {
@@ -206,11 +206,19 @@ func TestTracedCoCheckedRunReplays(t *testing.T) {
 		if stats[0] != stats[1] {
 			t.Errorf("%s: replayed stats differ:\n  map   %+v\n  arena %+v", col, stats[0], stats[1])
 		}
-		// The recorded store's own counters, not res.Stats: the trace also
-		// holds the co-checker's halt-time heap walk, whose reads count as
-		// Gets after the Result is snapshotted.
 		if want := tr.Inner.Stats(); stats[0] != want {
 			t.Errorf("%s: replayed stats %+v, recorded store %+v", col, stats[0], want)
+		}
+		// The co-checker's halt-time heap walk reads through Peek, so the
+		// trace holds the mutator's and collector's reads and nothing else.
+		gets := 0
+		for _, op := range tr.Ops {
+			if op.Kind == regions.OpGet {
+				gets++
+			}
+		}
+		if gets != res.Stats.Gets {
+			t.Errorf("%s: trace recorded %d gets, result counts %d", col, gets, res.Stats.Gets)
 		}
 	}
 }

@@ -91,13 +91,26 @@ func TestConcurrentRunSharedCompiled(t *testing.T) {
 			wg.Add(1)
 			go func(ghost bool) {
 				defer wg.Done()
-				res, err := c.Run(RunOptions{Capacity: 40, Ghost: ghost})
+				var got int
+				var err error
+				if ghost {
+					// A ghost machine keeps Ψ up to date, reading the
+					// shared elaborated program's put annotations and
+					// code types.
+					m := c.NewMachine(RunOptions{Capacity: 40})
+					m.Ghost = true
+					got, err = m.RunInt(DefaultFuel)
+				} else {
+					var res Result
+					res, err = c.Run(RunOptions{Capacity: 40})
+					got = res.Value
+				}
 				if err != nil {
 					t.Errorf("%v: concurrent run: %v", col, err)
 					return
 				}
-				if res.Value != want {
-					t.Errorf("%v: concurrent run got %d, want %d", col, res.Value, want)
+				if got != want {
+					t.Errorf("%v: concurrent run got %d, want %d", col, got, want)
 				}
 			}(i%2 == 0)
 		}

@@ -182,10 +182,18 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // interrupted budget stays a budget. CoCheck on an env checkpoint rebuilds
 // the substitution oracle from the same image (gclang.RestoreOracle), so
 // the lockstep counter comparison stays exact across the checkpoint.
-// Ghost, CheckEveryStep, and WrapStore are not supported on resume.
+// CheckEveryStep and WrapStore are not supported on resume.
 func (ck *Checkpoint) Resume(opts RunOptions) (Result, error) {
-	opts.ResumeFrom = ck
-	return ck.compiled.Run(opts)
+	if opts.CheckEveryStep {
+		return Result{}, errors.New("psgc: cannot resume a checkpoint into ghost mode")
+	}
+	if opts.WrapStore != nil {
+		return Result{}, errors.New("psgc: WrapStore is not supported on resume")
+	}
+	if opts.Fuel == 0 && ck.FuelRemaining > 0 {
+		opts.Fuel = ck.FuelRemaining
+	}
+	return ck.compiled.run(opts, ck)
 }
 
 // Checkpointer requests an on-demand checkpoint from a running Run: call
@@ -225,14 +233,25 @@ func (cp *Checkpointer) deliver(ck *Checkpoint) {
 	}
 }
 
-// newCheckpoint assembles a Checkpoint around a freshly captured machine
-// image.
-func (c *Compiled) newCheckpoint(img gclang.MachineImage, be regions.Backend, eng Engine, opts *RunOptions, collections, fuelLeft int) *Checkpoint {
+// capture checkpoints the machine a run drives, taking the engine from the
+// machine's type. A co-check pair is captured from its live machine.
+func (c *Compiled) capture(m gclang.Stepper, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
+	if p, ok := m.(*lockstep); ok {
+		m = p.live()
+	}
+	eng := EngineEnv
+	if _, ok := m.(*gclang.Machine); ok {
+		eng = EngineSubst
+	}
+	img, err := m.Image()
+	if err != nil {
+		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
+	}
 	ck := &Checkpoint{
 		SourceHash:    opts.CheckpointMeta.SourceHash,
 		TraceID:       opts.CheckpointMeta.TraceID,
 		Collector:     c.Collector,
-		Backend:       be,
+		Backend:       m.Shared().Mem.Backend(),
 		Engine:        eng,
 		Steps:         img.Steps,
 		Collections:   collections,
@@ -244,36 +263,5 @@ func (c *Compiled) newCheckpoint(img gclang.MachineImage, be regions.Backend, en
 		pi := opts.Profiler.Image()
 		ck.profiler = &pi
 	}
-	return ck
-}
-
-func (c *Compiled) captureEnv(m *gclang.EnvMachine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
-	img, err := m.Image()
-	if err != nil {
-		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
-	}
-	return c.newCheckpoint(img, m.Mem.Backend(), EngineEnv, opts, collections, fuelLeft), nil
-}
-
-func (c *Compiled) captureSubst(m *gclang.Machine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
-	img, err := m.Image()
-	if err != nil {
-		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
-	}
-	return c.newCheckpoint(img, m.Mem.Backend(), EngineSubst, opts, collections, fuelLeft), nil
-}
-
-// restoreProfiler replays the checkpoint's profiler aggregate into the
-// profiler attached to a resumed run, so the resumed profile — including
-// the reservoir sampler's exact state — continues where the original left
-// off.
-func restoreProfiler(opts *RunOptions) error {
-	ck := opts.ResumeFrom
-	if ck == nil || opts.Profiler == nil || ck.profiler == nil {
-		return nil
-	}
-	if err := opts.Profiler.Restore(*ck.profiler); err != nil {
-		return fmt.Errorf("psgc: resume profiler: %w", err)
-	}
-	return nil
+	return ck, nil
 }

@@ -369,7 +369,7 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	if _, err := c.Run(RunOptions{CheckpointEvery: 100}); err == nil {
 		t.Fatal("CheckpointEvery without OnCheckpoint accepted")
 	}
-	if _, err := c.Run(RunOptions{Ghost: true, Checkpointer: NewCheckpointer()}); err == nil {
+	if _, err := c.Run(RunOptions{CheckEveryStep: true, Checkpointer: NewCheckpointer()}); err == nil {
 		t.Fatal("checkpointing in ghost mode accepted")
 	}
 	ref, err := c.Run(RunOptions{Capacity: 32})
@@ -377,19 +377,12 @@ func TestCheckpointOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := checkpointAt(t, c, RunOptions{Capacity: 32}, ref.Steps/2)
-	if _, err := ck.Resume(RunOptions{Ghost: true}); err == nil {
+	if _, err := ck.Resume(RunOptions{CheckEveryStep: true}); err == nil {
 		t.Fatal("resume into ghost mode accepted")
 	}
 	if _, err := ck.Resume(RunOptions{
 		WrapStore: func(s regions.Store[gclang.Cell]) regions.Store[gclang.Cell] { return s },
 	}); err == nil {
 		t.Fatal("resume with WrapStore accepted")
-	}
-	other, err := Compile(src, Forwarding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.Run(RunOptions{ResumeFrom: ck}); err == nil {
-		t.Fatal("resume against a different compiled program accepted")
 	}
 }

@@ -1416,7 +1416,7 @@ func writePolicySnapshot(path string) error {
 		d := eng.Decide(wl.name, psgc.Basic.String(), benchCapacity)
 		adaptive := compiled[d.Collector]
 		adaptiveOpts := psgc.RunOptions{
-			Capacity: d.Capacity, Policy: policy.Adaptive, Decision: &d,
+			Capacity: d.Capacity, Decision: &d,
 		}
 
 		// Co-check the adaptive configuration against the oracle once.

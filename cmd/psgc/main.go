@@ -279,7 +279,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CheckEveryStep: *check,
 		Engine:         eng,
 		Backend:        be,
-		Policy:         pol,
 		Decision:       decision,
 		CheckpointMeta: psgc.CheckpointMeta{SourceHash: fmt.Sprintf("%x", sha256.Sum256([]byte(src)))},
 	}

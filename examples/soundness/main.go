@@ -25,7 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := compiled.NewMachine(psgc.RunOptions{Capacity: 16, Ghost: true})
+	m := compiled.NewMachine(psgc.RunOptions{Capacity: 16})
+	m.Ghost = true
 	m.Mem.SetAutoGrow(true)
 
 	checked := 0

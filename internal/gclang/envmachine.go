@@ -56,31 +56,7 @@ import (
 // is not supported here; ghost runs use the substitution machine, which
 // remains the semantic oracle.
 type EnvMachine struct {
-	Dialect Dialect
-	Mem     regions.Store[Cell]
-
-	// Pool holds the typed side pools this machine's packed cells index
-	// into. Pool handles are machine-local: cells from one machine are
-	// meaningless under another machine's pools.
-	Pool *Pools
-
-	// Steps counts machine transitions taken so far.
-	Steps int
-
-	// Halted and Result are set once the program reaches halt v. Result is
-	// the decoded (boxed) value — the one place a finished run pays a
-	// decode.
-	Halted bool
-	Result Value
-
-	// Event, if non-nil, is called after every classified step with a
-	// fixed-size StepEvent, exactly as Machine.Event is (see events.go).
-	// Emitting a StepEvent allocates nothing, so the hook stays installed
-	// on every request.
-	Event func(StepEvent)
-
-	// ev is the scratch event the step rules fill when Event is set.
-	ev StepEvent
+	Core
 
 	// code is the lowered program. The control term is node pc of block
 	// blk (main's, a code block's, or a restored control term's), whose
@@ -141,31 +117,10 @@ func NewEnvMachineOn(b regions.Backend, d Dialect, p Program, capacity int) *Env
 }
 
 // Run steps the machine until halt, an error, or the fuel limit.
-func (m *EnvMachine) Run(fuel int) (Value, error) {
-	for !m.Halted {
-		if fuel <= 0 {
-			return nil, ErrFuel
-		}
-		fuel--
-		if err := m.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return m.Result, nil
-}
+func (m *EnvMachine) Run(fuel int) (Value, error) { return Run(m, fuel) }
 
 // RunInt runs the machine and requires an integer result.
-func (m *EnvMachine) RunInt(fuel int) (int, error) {
-	v, err := m.Run(fuel)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := v.(Num)
-	if !ok {
-		return 0, fmt.Errorf("gclang: halt with non-integer %s", v)
-	}
-	return n.N, nil
-}
+func (m *EnvMachine) RunInt(fuel int) (int, error) { return RunInt(m, fuel) }
 
 // PendingCall reports the code address about to be invoked when the control
 // term is a call whose head is (or is bound to) an address. It allocates

@@ -157,7 +157,7 @@ func TestEnvMachineAgreesWithSubst(t *testing.T) {
 				// events) must also be identical.
 				rs, re := c.Recorder(), c.Recorder()
 				rs.Attach(sm)
-				re.AttachEnv(em)
+				re.Attach(em)
 				// No per-step control-term compare here: printing both terms
 				// every step would cost the population sweep 7×.
 				coStep(t, sm, em, 40_000_000, false)

@@ -258,7 +258,7 @@ func TestEnvMachinePendingCall(t *testing.T) {
 // TestGhostPutErrorLeavesStateConsistent is the regression test for the
 // error-path bug: a ghost-mode put with a missing annotation used to apply
 // the memory effect before failing, leaving the Puts counter ahead of the
-// (unchanged) term and trace.
+// (unchanged) term and event stream.
 func TestGhostPutErrorLeavesStateConsistent(t *testing.T) {
 	// Built by hand, not via the checker, so the PutOp has no annotation.
 	prog := Program{Main: LetRegionT{R: "r", Body: LetT{
@@ -266,8 +266,8 @@ func TestGhostPutErrorLeavesStateConsistent(t *testing.T) {
 		Body: HaltT{V: Num{N: 0}}}}}
 	m := NewMachine(Base, prog, 0)
 	m.Ghost = true
-	traced := 0
-	m.Trace = func(*Machine, Term) { traced++ }
+	var events []StepKind
+	m.Event = func(ev StepEvent) { events = append(events, ev.Kind) }
 	if err := m.Step(); err != nil { // let region: fine
 		t.Fatal(err)
 	}
@@ -288,8 +288,8 @@ func TestGhostPutErrorLeavesStateConsistent(t *testing.T) {
 	if m.Term != termBefore {
 		t.Errorf("term rewritten on a failed step")
 	}
-	if traced != 1 {
-		t.Errorf("trace fired %d times, want 1 (failed steps are not traced)", traced)
+	if len(events) != 1 || events[0] != StepNewRegion {
+		t.Errorf("events %v, want only the let-region step's (failed steps emit none)", events)
 	}
 }
 

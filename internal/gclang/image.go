@@ -222,12 +222,9 @@ func RestoreOracle(p Program, img MachineImage) (*Machine, error) {
 
 func newRestoredMachine(d Dialect, p Program, mem regions.Store[Cell], pool *Pools, term Term, steps int) *Machine {
 	m := &Machine{
-		Dialect: d,
-		Mem:     mem,
-		Pool:    pool,
-		Term:    term,
-		Psi:     MemType{},
-		Steps:   steps,
+		Core: Core{Dialect: d, Mem: mem, Pool: pool, Steps: steps},
+		Term: term,
+		Psi:  MemType{},
 	}
 	// Rebuild the code-region Ψ entries NewMachineOn installs; non-ghost
 	// machines never read Ψ, but the invariant that cd is typed is cheap.

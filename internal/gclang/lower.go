@@ -667,12 +667,10 @@ func (c *Code) NewEnvMachine(b regions.Backend, d Dialect, capacity int) *EnvMac
 
 func (c *Code) newMachine(d Dialect, mem regions.Store[Cell], pool *Pools) *EnvMachine {
 	m := &EnvMachine{
-		Dialect: d,
-		Mem:     mem,
-		Pool:    pool,
-		code:    c,
-		cells:   make([]slot[Cell], c.width[nsCells]),
-		memo:    make([]litMemo, c.lits),
+		Core:  Core{Dialect: d, Mem: mem, Pool: pool},
+		code:  c,
+		cells: make([]slot[Cell], c.width[nsCells]),
+		memo:  make([]litMemo, c.lits),
 	}
 	m.gen = 1
 	m.tags = make([]slot[tags.Tag], c.width[nsTags])

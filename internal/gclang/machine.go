@@ -19,34 +19,37 @@ import (
 // well-formedness. This is the executable counterpart of the paper's
 // preservation proofs; see DESIGN.md.
 type Machine struct {
-	Dialect Dialect
-	Mem     regions.Store[Cell]
-	Term    Term
-
-	// Pool holds the typed side pools backing the packed cells in Mem. The
-	// substitution machine rewrites terms over boxed Values internally —
-	// that is what makes it the readable oracle — and encodes/decodes at
-	// its memory boundary: Encode on Put/Set, Decode on Get.
-	Pool *Pools
+	Core
+	Term Term
 
 	// Ghost enables Ψ maintenance. Programs must have been elaborated by
 	// the checker (put annotations present) for ghost mode to work.
 	Ghost bool
 	Psi   MemType
+}
+
+// Core is the state both machines share: the dialect, the packed memory
+// and its side pools, the step count, the halt result, and the event hook.
+// Machine and EnvMachine embed it, so m.Steps, m.Halted and m.Result read
+// the same on either; Stepper.Shared hands it to code that drives both.
+type Core struct {
+	Dialect Dialect
+	Mem     regions.Store[Cell]
+
+	// Pool holds the typed side pools backing the packed cells in Mem.
+	// Pool handles are machine-local: cells from one machine are
+	// meaningless under another machine's pools. The substitution machine
+	// rewrites terms over boxed Values internally — that is what makes it
+	// the readable oracle — and encodes/decodes at its memory boundary.
+	Pool *Pools
 
 	// Steps counts machine transitions taken so far.
 	Steps int
 
-	// Halted and Result are set once the program reaches halt v.
+	// Halted and Result are set once the program reaches halt v. Result is
+	// the decoded (boxed) value.
 	Halted bool
 	Result Value
-
-	// Trace, if non-nil, is called after every step with the term that was
-	// just reduced (the machine's effects — puts, sets, region frees — are
-	// already applied, and m.Term is the next term). On the substitution
-	// machine the pre-step term exists anyway, so the hook is free; event
-	// consumers should prefer Event, which both machines share.
-	Trace func(m *Machine, before Term)
 
 	// Event, if non-nil, is called after every classified step with a
 	// fixed-size StepEvent (see events.go). Emitting one allocates
@@ -56,6 +59,50 @@ type Machine struct {
 
 	// ev is the scratch event the step rules fill when Event is set.
 	ev StepEvent
+}
+
+// Shared returns the machine's shared state.
+func (c *Core) Shared() *Core { return c }
+
+// Stepper is a machine a run loop can drive: *Machine, *EnvMachine, or a
+// wrapper that steps several machines as one.
+type Stepper interface {
+	// Step performs one transition; see Machine.Step.
+	Step() error
+	// PendingCall reports the code address the next step invokes, if any.
+	PendingCall() (regions.Addr, bool)
+	// Image captures the state at the current step boundary.
+	Image() (MachineImage, error)
+	// Shared returns the state the loop reads: steps, halt, memory.
+	Shared() *Core
+}
+
+// Run steps m until halt, an error, or the fuel limit.
+func Run(m Stepper, fuel int) (Value, error) {
+	c := m.Shared()
+	for !c.Halted {
+		if fuel <= 0 {
+			return nil, ErrFuel
+		}
+		fuel--
+		if err := m.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return c.Result, nil
+}
+
+// RunInt runs m and requires an integer result.
+func RunInt(m Stepper, fuel int) (int, error) {
+	v, err := Run(m, fuel)
+	if err != nil {
+		return 0, err
+	}
+	n, ok := v.(Num)
+	if !ok {
+		return 0, fmt.Errorf("gclang: halt with non-integer %s", v)
+	}
+	return n.N, nil
 }
 
 // ErrStuck is returned when no reduction applies — a progress violation
@@ -76,11 +123,9 @@ func NewMachine(d Dialect, p Program, capacity int) *Machine {
 // NewMachineOn is NewMachine over the selected memory backend.
 func NewMachineOn(b regions.Backend, d Dialect, p Program, capacity int) *Machine {
 	m := &Machine{
-		Dialect: d,
-		Mem:     regions.NewStore[Cell](b, capacity),
-		Pool:    NewPools(),
-		Term:    p.Main,
-		Psi:     MemType{},
+		Core: Core{Dialect: d, Mem: regions.NewStore[Cell](b, capacity), Pool: NewPools()},
+		Term: p.Main,
+		Psi:  MemType{},
 	}
 	for i, nf := range p.Code {
 		addr, err := m.Mem.Put(regions.CD, m.Pool.LamCell(nf.Fun))
@@ -97,31 +142,10 @@ func NewMachineOn(b regions.Backend, d Dialect, p Program, capacity int) *Machin
 }
 
 // Run steps the machine until halt, an error, or the fuel limit.
-func (m *Machine) Run(fuel int) (Value, error) {
-	for !m.Halted {
-		if fuel <= 0 {
-			return nil, ErrFuel
-		}
-		fuel--
-		if err := m.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return m.Result, nil
-}
+func (m *Machine) Run(fuel int) (Value, error) { return Run(m, fuel) }
 
 // RunInt runs the machine and requires an integer result.
-func (m *Machine) RunInt(fuel int) (int, error) {
-	v, err := m.Run(fuel)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := v.(Num)
-	if !ok {
-		return 0, fmt.Errorf("gclang: halt with non-integer %s", v)
-	}
-	return n.N, nil
-}
+func (m *Machine) RunInt(fuel int) (int, error) { return RunInt(m, fuel) }
 
 func stuck(e Term, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: in %s", ErrStuck, fmt.Sprintf(format, args...), e)
@@ -141,14 +165,13 @@ func (m *Machine) PendingCall() (regions.Addr, bool) {
 
 // Step performs one machine transition. An error leaves the machine state
 // unchanged: rules validate their side conditions before applying memory
-// effects, so m.Term, m.Steps, and the trace stay consistent. (The only
+// effects, so m.Term, m.Steps, and the event stream stay consistent. (The only
 // bookkeeping touched before an error can surface is the Gets counter on a
 // call whose fetched cell then fails validation.)
 func (m *Machine) Step() error {
 	if m.Halted {
 		return errors.New("gclang: step after halt")
 	}
-	before := m.Term
 	if m.Event != nil {
 		m.ev.Kind = StepNone
 	}
@@ -158,9 +181,6 @@ func (m *Machine) Step() error {
 	}
 	m.Term = next
 	m.Steps++
-	if m.Trace != nil {
-		m.Trace(m, before)
-	}
 	if m.Event != nil && m.ev.Kind != StepNone {
 		m.ev.Step = m.Steps
 		m.Event(m.ev)
@@ -385,8 +405,8 @@ func (m *Machine) stepOp(op Op) (Value, error) {
 		}
 		if m.Ghost && op.Anno == nil {
 			// Validated before the Put: an erroring step must not leave a
-			// partial memory effect behind (no step is counted and the trace
-			// never fires, so m.Term and the counters must stay untouched).
+			// partial memory effect behind (no step is counted and no event
+			// fires, so m.Term and the counters must stay untouched).
 			return nil, fmt.Errorf("gclang: ghost mode requires elaborated puts (missing annotation)")
 		}
 		addr, err := m.Mem.Put(rn.Name, m.Pool.Encode(op.V))

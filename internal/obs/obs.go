@@ -230,27 +230,15 @@ func NewRecorder(entries map[regions.Addr]string, collectorFuns int) *Recorder {
 	}
 }
 
-// Attach wires the recorder into the substitution machine's Event hook,
-// chaining any hook already installed.
-func (r *Recorder) Attach(m *gclang.Machine) {
-	prev := m.Event
-	r.steps = func() int { return m.Steps }
-	m.Event = func(ev gclang.StepEvent) {
-		r.ObserveEvent(m.Mem, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
-}
-
-// AttachEnv wires the recorder into the environment machine's Event hook,
-// chaining any hook already installed. Both machines emit identical event
-// streams, so classification is engine-independent.
-func (r *Recorder) AttachEnv(m *gclang.EnvMachine) {
-	prev := m.Event
-	r.steps = func() int { return m.Steps }
-	m.Event = func(ev gclang.StepEvent) {
-		r.ObserveEvent(m.Mem, ev)
+// Attach wires the recorder into a machine's Event hook, chaining any hook
+// already installed. Both machines emit identical event streams, so
+// classification is engine-independent.
+func (r *Recorder) Attach(m gclang.Stepper) {
+	c := m.Shared()
+	prev := c.Event
+	r.steps = func() int { return c.Steps }
+	c.Event = func(ev gclang.StepEvent) {
+		r.ObserveEvent(c.Mem, ev)
 		if prev != nil {
 			prev(ev)
 		}
@@ -309,7 +297,7 @@ func (r *Recorder) closeSpan(end int) {
 
 // ObserveEvent classifies one machine step event. mem is the memory with
 // the step's effects already applied (the region-free diff at only needs
-// it). It is engine-agnostic — Attach and AttachEnv both feed it — and
+// it). It is engine-agnostic — Attach feeds it from either machine — and
 // exported so co-stepping tests can drive it directly. Unlike the event
 // hook itself, the Recorder may allocate (event log, region table): full
 // timelines are the opt-in deep view; always-on profiling uses the

@@ -139,28 +139,15 @@ func NewProfiler(entries map[regions.Addr]string, collectorFuns int) *Profiler {
 	}
 }
 
-// Attach wires the profiler into the substitution machine's Event hook,
-// chaining any hook already installed.
-func (p *Profiler) Attach(m *gclang.Machine) {
-	prev := m.Event
-	p.steps = func() int { return m.Steps }
-	p.memf = func() MemView { return m.Mem }
-	m.Event = func(ev gclang.StepEvent) {
-		p.ObserveEvent(m.Mem, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
-}
-
-// AttachEnv wires the profiler into the environment machine's Event hook,
-// chaining any hook already installed.
-func (p *Profiler) AttachEnv(m *gclang.EnvMachine) {
-	prev := m.Event
-	p.steps = func() int { return m.Steps }
-	p.memf = func() MemView { return m.Mem }
-	m.Event = func(ev gclang.StepEvent) {
-		p.ObserveEvent(m.Mem, ev)
+// Attach wires the profiler into a machine's Event hook, chaining any hook
+// already installed.
+func (p *Profiler) Attach(m gclang.Stepper) {
+	c := m.Shared()
+	prev := c.Event
+	p.steps = func() int { return c.Steps }
+	p.memf = func() MemView { return c.Mem }
+	c.Event = func(ev gclang.StepEvent) {
+		p.ObserveEvent(c.Mem, ev)
 		if prev != nil {
 			prev(ev)
 		}

@@ -922,65 +922,100 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 	if err != nil {
 		return &response{status: compileStatus(err), body: errorBody{Error: err.Error(), TraceID: traceID}}
 	}
-	opts := psgc.RunOptions{
-		Capacity:      capacity,
-		FixedCapacity: req.Fixed,
-		Backend:       backend,
-		Policy:        polName,
-		Decision:      decision,
-		Checkpointer:  cp,
-		CheckpointMeta: psgc.CheckpointMeta{
-			SourceHash: hash,
-			TraceID:    traceID,
+	x := &execution{
+		c: c, col: col, engine: engine, hash: hash, traceID: traceID,
+		policy: polName, cached: hit, spans: spans, coCheck: req.CoCheck,
+		opts: psgc.RunOptions{
+			Capacity:      capacity,
+			FixedCapacity: req.Fixed,
+			Backend:       backend,
+			Decision:      decision,
+			Fuel:          s.fuelBudget(req.Fuel, req.DeadlineMs),
+			Progress:      progress,
+			ProgressEvery: req.ProgressSteps,
+			Checkpointer:  cp,
+			CheckpointMeta: psgc.CheckpointMeta{
+				SourceHash: hash,
+				TraceID:    traceID,
+			},
 		},
 	}
+	if trace {
+		rec := c.Recorder()
+		if req.MaxEvents > 0 {
+			rec.MaxEvents = req.MaxEvents
+		}
+		x.opts.Recorder = rec
+	}
+	return s.execute(x)
+}
+
+// execution is one run as doRun or doResume prepared it: its options carry
+// the request's fuel, Progress callback and cadence, and, for an adaptive
+// run, the Decision. execute finishes the options, runs it, and classifies
+// the outcome.
+type execution struct {
+	c *psgc.Compiled
+	// from is the checkpoint a resumed run continues; nil for a fresh run.
+	from    *psgc.Checkpoint
+	col     psgc.Collector
+	engine  psgc.Engine
+	hash    string
+	traceID string
+	opts    psgc.RunOptions
+	// coCheck is the request's demand for a co-checked run.
+	coCheck bool
+	// The response fields only a fresh run fills.
+	policy string
+	cached bool
+	spans  []obs.PhaseSpan
+}
+
+// execute is the path doRun and doResume share: the co-check guard, the
+// always-on profiler, the watchdog, the run itself, its metrics and
+// profile-store feed, and the mapping of its outcome onto a response.
+func (s *Server) execute(x *execution) *response {
+	opts := &x.opts
 	diverged := false
-	if engine == psgc.EngineEnv {
-		if s.guard.breakerOpen(hash) {
-			// This program diverged on a co-checked run before: pin it to
-			// the oracle. The response's engine field reports the truth.
-			engine = psgc.EngineSubst
-		} else if req.CoCheck || s.guard.shouldCoCheck() {
+	if x.engine == psgc.EngineEnv {
+		// An open breaker pins a fresh run to the oracle; the response's
+		// engine field reports the truth. A resumed run's image dictates its
+		// engine, so it is co-checked unconditionally instead, with the
+		// oracle rebuilt from the same snapshot.
+		breaker := s.guard.breakerOpen(x.hash)
+		if breaker && x.from == nil {
+			x.engine = psgc.EngineSubst
+		} else if x.coCheck || breaker || s.guard.shouldCoCheck() {
 			opts.CoCheck = true
 			s.metrics.CoCheckRuns.Add(1)
 			opts.OnDivergence = func(d psgc.Divergence) {
 				diverged = true
-				engine = psgc.EngineSubst // the oracle finishes the run
+				x.engine = psgc.EngineSubst // the oracle finishes the run
 				s.metrics.CoCheckDivergences.Add(1)
-				if s.guard.trip(hash, col.String(), traceID, d) {
+				if s.guard.trip(x.hash, x.col.String(), x.traceID, d) {
 					s.metrics.BreakersOpen.Add(1)
 				}
 			}
 		}
 	}
-	opts.Engine = engine
-	opts.Fuel = s.fuelBudget(req.Fuel, req.DeadlineMs)
+	opts.Engine = x.engine
 	// Always-on profiling: every run carries the allocation-free profiler
-	// and feeds the per-program store the adaptive policy reads.
-	prof := c.Profiler()
+	// and feeds the per-program store the adaptive policy reads. A resumed
+	// run's profiler continues from the checkpoint's aggregate, so the
+	// completed profile spans the whole logical run.
+	prof := x.c.Profiler()
 	opts.Profiler = prof
-	var rec *obs.Recorder
-	if trace {
-		rec = c.Recorder()
-		if req.MaxEvents > 0 {
-			rec.MaxEvents = req.MaxEvents
-		}
-		opts.Recorder = rec
-	}
-	if req.ProgressSteps > 0 {
-		opts.ProgressEvery = req.ProgressSteps
-	}
 	// The watchdog rides the Progress callback: the machine is cut at the
 	// first tick past the wall-clock budget and the run is answered as a
 	// budgeted partial result instead of a hung worker.
 	stalled := false
 	if s.cfg.WatchdogMs > 0 {
 		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
-		if opts.ProgressEvery == 0 {
+		if opts.ProgressEvery <= 0 {
 			opts.ProgressEvery = watchdogProgressEvery
 		}
-		inner := progress
-		progress = func(p psgc.Progress) bool {
+		inner := opts.Progress
+		opts.Progress = func(p psgc.Progress) bool {
 			if time.Now().After(deadline) {
 				stalled = true
 				return false
@@ -991,16 +1026,28 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 			return true
 		}
 	}
-	opts.Progress = progress
-	var report *TraceReport
+	var (
+		res psgc.Result
+		err error
+		// The machine's counters continue from a checkpoint; only the
+		// steps executed here are new traffic on this node.
+		prior psgc.Result
+	)
 	t0 := time.Now()
-	res, err := c.Run(opts)
+	if x.from != nil {
+		s.metrics.Resumes.Add(1)
+		prior = psgc.Result{Steps: x.from.Steps, Collections: x.from.Collections}
+		res, err = x.from.Resume(*opts)
+	} else {
+		res, err = x.c.Run(*opts)
+	}
 	ms := float64(time.Since(t0)) / float64(time.Millisecond)
 	s.metrics.RunLatency.Observe(ms)
-	s.metrics.MachineSteps[col].Add(int64(res.Steps))
-	s.metrics.Collections[col].Add(int64(res.Collections))
-	if rec != nil {
-		report = &TraceReport{Pipeline: spans, Timeline: rec.Timeline()}
+	s.metrics.MachineSteps[x.col].Add(int64(res.Steps - prior.Steps))
+	s.metrics.Collections[x.col].Add(int64(res.Collections - prior.Collections))
+	var report *TraceReport
+	if opts.Recorder != nil {
+		report = &TraceReport{Pipeline: x.spans, Timeline: opts.Recorder.Timeline()}
 	}
 	if err != nil {
 		if errors.Is(err, psgc.ErrOutOfFuel) {
@@ -1009,25 +1056,28 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 			s.metrics.Deadlines.Add(1)
 			partial := statsOf(res)
 			return &response{status: http.StatusGatewayTimeout,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID, Trace: report}}
+				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID, Trace: report}}
 		}
 		if errors.Is(err, psgc.ErrCanceled) {
 			partial := statsOf(res)
 			if stalled {
 				s.metrics.WatchdogStalls.Add(1)
+				detail := fmt.Sprintf("cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs)
+				if x.from != nil {
+					detail = "resumed run " + detail
+				}
 				s.guard.incidents.Record(obs.Incident{
-					Kind: "watchdog_stall", TraceID: traceID, Subject: hash,
-					Detail: fmt.Sprintf("cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs),
+					Kind: "watchdog_stall", TraceID: x.traceID, Subject: x.hash, Detail: detail,
 				})
 				return &response{status: http.StatusGatewayTimeout,
 					body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
-						Partial: &partial, TraceID: traceID, Trace: report}}
+						Partial: &partial, TraceID: x.traceID, Trace: report}}
 			}
 			// The streaming client went away mid-run; nobody is left to
 			// read this, but classify it as a client-side termination.
 			s.metrics.Canceled.Add(1)
 			return &response{status: statusClientClosedRequest,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
+				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID}}
 		}
 		if errors.Is(err, psgc.ErrCheckpointed) {
 			// POST /snapshot paused this run at a step boundary; the
@@ -1036,41 +1086,43 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 			// run will continue elsewhere.
 			return &response{status: http.StatusOK, body: CheckpointedResponse{
 				Checkpointed: true,
-				SourceHash:   hash,
+				SourceHash:   x.hash,
 				Steps:        res.Steps,
-				TraceID:      traceID,
+				TraceID:      x.traceID,
 			}}
 		}
 		return &response{status: http.StatusInternalServerError,
-			body: errorBody{Error: err.Error(), TraceID: traceID}}
+			body: errorBody{Error: err.Error(), TraceID: x.traceID}}
 	}
 	// Only completed runs feed the profile store: a partial profile from
 	// a fuel- or watchdog-killed run would skew the per-program aggregates
 	// the adaptive policy decides from.
-	s.adaptive.Observe(hash, col.String(), prof.Profile())
+	s.adaptive.Observe(x.hash, x.col.String(), prof.Profile())
 	s.metrics.ProfiledRuns.Add(1)
-	if decision != nil {
+	if opts.Decision != nil {
 		// A cold decision was made before the hash had a profile entry to
 		// hang it on; now that the run has admitted the hash, re-record it
 		// so /healthz shows the decision alongside the fresh profile.
-		s.profiles.SetDecision(hash, *decision)
+		s.profiles.SetDecision(x.hash, *opts.Decision)
 	}
 	return &response{status: http.StatusOK, body: RunResponse{
-		Value:      res.Value,
-		Collector:  col.String(),
-		Engine:     engine.String(),
-		Backend:    backend.String(),
-		SourceHash: hash,
-		Cached:     hit,
-		Fuel:       opts.Fuel,
-		RunMs:      ms,
-		CoChecked:  opts.CoCheck,
-		Diverged:   diverged,
-		Policy:     polName,
-		Decision:   decision,
-		Stats:      statsOf(res),
-		TraceID:    traceID,
-		Trace:      report,
+		Value:           res.Value,
+		Collector:       x.col.String(),
+		Engine:          x.engine.String(),
+		Backend:         opts.Backend.String(),
+		SourceHash:      x.hash,
+		Cached:          x.cached,
+		Fuel:            opts.Fuel,
+		RunMs:           ms,
+		CoChecked:       opts.CoCheck,
+		Diverged:        diverged,
+		Resumed:         x.from != nil,
+		ResumedFromStep: prior.Steps,
+		Policy:          x.policy,
+		Decision:        opts.Decision,
+		Stats:           statsOf(res),
+		TraceID:         x.traceID,
+		Trace:           report,
 	}}
 }
 

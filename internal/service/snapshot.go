@@ -15,7 +15,6 @@ package service
 // that could compute a wrong answer.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -271,10 +270,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 // doResume executes a decoded (already re-certified) checkpoint on a pool
-// worker, mirroring doRun's budgets, guardrails, and response shapes.
+// worker through doRun's execute path.
 func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string, progress func(psgc.Progress) bool, cp *psgc.Checkpointer) *response {
-	col := ck.Collector
-	hash := ck.SourceHash
 	backend := ck.Backend
 	if req.Backend != "" {
 		b, err := regions.ParseBackend(req.Backend)
@@ -283,126 +280,24 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 		}
 		backend = b
 	}
-	opts := psgc.RunOptions{
-		Backend:      backend,
-		Checkpointer: cp,
-		CheckpointMeta: psgc.CheckpointMeta{
-			SourceHash: hash,
-			TraceID:    traceID,
+	x := &execution{
+		c: ck.Compiled(), from: ck, col: ck.Collector, engine: ck.Engine, hash: ck.SourceHash, traceID: traceID,
+		coCheck: req.CoCheck,
+		opts: psgc.RunOptions{
+			Backend:       backend,
+			Progress:      progress,
+			ProgressEvery: req.ProgressSteps,
+			Checkpointer:  cp,
+			CheckpointMeta: psgc.CheckpointMeta{
+				SourceHash: ck.SourceHash,
+				TraceID:    traceID,
+			},
 		},
 	}
+	// With Fuel zero the run inherits the checkpoint's remaining fuel — an
+	// interrupted budget stays a budget across the migration.
 	if req.Fuel > 0 || req.DeadlineMs > 0 {
-		opts.Fuel = s.fuelBudget(req.Fuel, req.DeadlineMs)
+		x.opts.Fuel = s.fuelBudget(req.Fuel, req.DeadlineMs)
 	}
-	// With opts.Fuel zero the run inherits the checkpoint's remaining
-	// fuel — an interrupted budget stays a budget across the migration.
-	engine := ck.Engine
-	diverged := false
-	if engine == psgc.EngineEnv {
-		// Sampled co-check on resume: the substitution oracle is rebuilt
-		// from the same snapshot, so the resumed run re-enters the lockstep
-		// differential exactly where the original left it. A breaker-open
-		// program cannot be pinned to the oracle here — the image dictates
-		// the engine — so it is co-checked unconditionally instead.
-		if req.CoCheck || s.guard.breakerOpen(hash) || s.guard.shouldCoCheck() {
-			opts.CoCheck = true
-			s.metrics.CoCheckRuns.Add(1)
-			opts.OnDivergence = func(d psgc.Divergence) {
-				diverged = true
-				engine = psgc.EngineSubst // the oracle finishes the run
-				s.metrics.CoCheckDivergences.Add(1)
-				if s.guard.trip(hash, col.String(), traceID, d) {
-					s.metrics.BreakersOpen.Add(1)
-				}
-			}
-		}
-	}
-	// The profiler resumes from the checkpoint's aggregate (restored
-	// inside Run), so the completed profile spans the whole logical run.
-	prof := ck.Compiled().Profiler()
-	opts.Profiler = prof
-	if req.ProgressSteps > 0 {
-		opts.ProgressEvery = req.ProgressSteps
-	}
-	stalled := false
-	if s.cfg.WatchdogMs > 0 {
-		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
-		if opts.ProgressEvery == 0 {
-			opts.ProgressEvery = watchdogProgressEvery
-		}
-		inner := progress
-		progress = func(p psgc.Progress) bool {
-			if time.Now().After(deadline) {
-				stalled = true
-				return false
-			}
-			if inner != nil {
-				return inner(p)
-			}
-			return true
-		}
-	}
-	opts.Progress = progress
-	s.metrics.Resumes.Add(1)
-	t0 := time.Now()
-	res, err := ck.Resume(opts)
-	ms := float64(time.Since(t0)) / float64(time.Millisecond)
-	s.metrics.RunLatency.Observe(ms)
-	// The machine's counters continue from the checkpoint; only the steps
-	// executed here are new traffic on this node.
-	s.metrics.MachineSteps[col].Add(int64(res.Steps - ck.Steps))
-	s.metrics.Collections[col].Add(int64(res.Collections - ck.Collections))
-	if err != nil {
-		if errors.Is(err, psgc.ErrOutOfFuel) {
-			s.metrics.Deadlines.Add(1)
-			partial := statsOf(res)
-			return &response{status: http.StatusGatewayTimeout,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
-		}
-		if errors.Is(err, psgc.ErrCanceled) {
-			partial := statsOf(res)
-			if stalled {
-				s.metrics.WatchdogStalls.Add(1)
-				s.guard.incidents.Record(obs.Incident{
-					Kind: "watchdog_stall", TraceID: traceID, Subject: hash,
-					Detail: fmt.Sprintf("resumed run cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs),
-				})
-				return &response{status: http.StatusGatewayTimeout,
-					body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
-						Partial: &partial, TraceID: traceID}}
-			}
-			s.metrics.Canceled.Add(1)
-			return &response{status: statusClientClosedRequest,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
-		}
-		if errors.Is(err, psgc.ErrCheckpointed) {
-			// Re-migration: the resumed run was itself paused by a later
-			// POST /snapshot.
-			return &response{status: http.StatusOK, body: CheckpointedResponse{
-				Checkpointed: true,
-				SourceHash:   hash,
-				Steps:        res.Steps,
-				TraceID:      traceID,
-			}}
-		}
-		return &response{status: http.StatusInternalServerError,
-			body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
-	s.adaptive.Observe(hash, col.String(), prof.Profile())
-	s.metrics.ProfiledRuns.Add(1)
-	return &response{status: http.StatusOK, body: RunResponse{
-		Value:           res.Value,
-		Collector:       col.String(),
-		Engine:          engine.String(),
-		Backend:         backend.String(),
-		SourceHash:      hash,
-		Fuel:            opts.Fuel,
-		RunMs:           ms,
-		CoChecked:       opts.CoCheck,
-		Diverged:        diverged,
-		Resumed:         true,
-		ResumedFromStep: ck.Steps,
-		Stats:           statsOf(res),
-		TraceID:         traceID,
-	}}
+	return s.execute(x)
 }

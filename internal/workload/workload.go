@@ -284,38 +284,27 @@ func (c CollectOnce) run(fuel int, env bool) (RunStats, error) {
 			}
 		}
 	}
-	var (
-		mem   regions.Store[gclang.Cell]
-		steps int
-		err   error
-	)
 	// Region sizes only grow on put steps, so sampling on StepPut events
 	// observes the same maximum the old per-step sampler did.
+	var m gclang.Stepper
 	if env {
-		m := gclang.NewEnvMachine(c.Dialect, c.Prog, 0)
-		m.Event = func(ev gclang.StepEvent) {
-			if ev.Kind == gclang.StepPut {
-				sample(m.Mem)
-			}
-		}
-		_, err = m.Run(fuel)
-		mem, steps = m.Mem, m.Steps
+		m = gclang.NewEnvMachine(c.Dialect, c.Prog, 0)
 	} else {
-		m := gclang.NewMachine(c.Dialect, c.Prog, 0)
-		m.Event = func(ev gclang.StepEvent) {
-			if ev.Kind == gclang.StepPut {
-				sample(m.Mem)
-			}
-		}
-		_, err = m.Run(fuel)
-		mem, steps = m.Mem, m.Steps
+		m = gclang.NewMachine(c.Dialect, c.Prog, 0)
 	}
-	if err != nil {
+	s := m.Shared()
+	s.Event = func(ev gclang.StepEvent) {
+		if ev.Kind == gclang.StepPut {
+			sample(s.Mem)
+		}
+	}
+	if _, err := gclang.Run(m, fuel); err != nil {
 		return RunStats{}, err
 	}
+	mem := s.Mem
 	live := mem.LiveCells()
 	return RunStats{
-		Steps:      steps,
+		Steps:      s.Steps,
 		Copied:     live,
 		MaxCont:    maxCont,
 		MemStats:   mem.Stats(),

@@ -85,7 +85,9 @@ type Compiled struct {
 	Source source.Program
 	Clos   clos.Program
 
-	entries map[regions.Addr]bool
+	// entries lists the collector entry points: a call to one is a
+	// collection.
+	entries []regions.Addr
 	// entryNames names each entry point ("gc", or "minor"/"major") and
 	// collectorFuns is the cd prefix holding the certified collector code;
 	// both seed the GC-event Recorder.
@@ -168,10 +170,6 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	}
 	l := v.NewLayout()
 	opts := translate.Options{Dialect: col.Dialect(), GC: v.GC, Minor: v.Minor, Major: v.Major}
-	entries := map[regions.Addr]bool{}
-	for _, a := range v.Entries {
-		entries[a] = true
-	}
 	entryNames := map[regions.Addr]string{}
 	if col == Generational {
 		entryNames[v.Minor.Addr] = "minor"
@@ -194,7 +192,7 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	}
 	return &Compiled{
 		Collector: col, Prog: elab, Source: p, Clos: lp,
-		entries: entries, entryNames: entryNames, collectorFuns: len(v.Funs),
+		entries: v.Entries, entryNames: entryNames, collectorFuns: len(v.Funs),
 		code: gclang.LowerOnto(v.Code, elab),
 	}, nil
 }
@@ -214,25 +212,24 @@ func compileProgramCold(p source.Program, col Collector) (*Compiled, error) {
 	}
 	l := &collector.Layout{}
 	opts := translate.Options{Dialect: col.Dialect()}
-	entries := map[regions.Addr]bool{}
+	var entries []regions.Addr
 	entryNames := map[regions.Addr]string{}
 	switch col {
 	case Basic:
 		b := collector.BuildBasic(l)
 		opts.GC = l.Addr(b.GC)
-		entries[opts.GC.Addr] = true
+		entries = []regions.Addr{opts.GC.Addr}
 		entryNames[opts.GC.Addr] = "gc"
 	case Forwarding:
 		f := collector.BuildForw(l)
 		opts.GC = l.Addr(f.GC)
-		entries[opts.GC.Addr] = true
+		entries = []regions.Addr{opts.GC.Addr}
 		entryNames[opts.GC.Addr] = "gc"
 	case Generational:
 		g := collector.BuildGen(l)
 		opts.Minor = l.Addr(g.Minor)
 		opts.Major = l.Addr(g.Major)
-		entries[opts.Minor.Addr] = true
-		entries[opts.Major.Addr] = true
+		entries = []regions.Addr{opts.Minor.Addr, opts.Major.Addr}
 		entryNames[opts.Minor.Addr] = "minor"
 		entryNames[opts.Major.Addr] = "major"
 	default:
@@ -268,8 +265,8 @@ const (
 	// allocation-free in the steady state.
 	EngineEnv Engine = iota
 	// EngineSubst is the substitution-based machine of Fig. 5
-	// (gclang.Machine), kept as the semantic oracle. Ghost mode and
-	// CheckEveryStep always run on it: the ghost memory type Ψ lives there.
+	// (gclang.Machine), kept as the semantic oracle. CheckEveryStep always
+	// runs on it: the ghost memory type Ψ lives there.
 	EngineSubst
 )
 
@@ -309,11 +306,9 @@ type RunOptions struct {
 	FixedCapacity bool
 	// Fuel bounds the number of machine steps (default 50 million).
 	Fuel int
-	// Ghost maintains the memory type Ψ during execution, enabling
-	// CheckEveryStep and post-mortem state inspection. Slower.
-	Ghost bool
-	// CheckEveryStep re-verifies machine-state well-formedness after
-	// every transition (requires Ghost). Very slow; used by the
+	// CheckEveryStep runs the substitution machine in ghost mode, which
+	// maintains the memory type Ψ, and re-verifies machine-state
+	// well-formedness after every transition. Very slow; used by the
 	// soundness test-suite.
 	CheckEveryStep bool
 	// Recorder, if non-nil, captures a structured GC-event timeline
@@ -326,15 +321,10 @@ type RunOptions struct {
 	// every run. One Profiler serves one run. Under CoCheck it observes
 	// the oracle, whose result is the one served.
 	Profiler *obs.Profiler
-	// Policy names the selection policy that configured this run: "" or
-	// policy.Static for an explicit collector and capacity, policy.Adaptive
-	// when the profile-driven engine chose them. With policy.Adaptive and a
-	// non-nil Decision, Run cross-checks the compiled-in collector against
-	// the decision (catching callers that decide one collector and compile
-	// another) and adopts the decision's capacity when Capacity is zero.
-	// Unknown names are an error.
-	Policy string
-	// Decision is the policy decision backing Policy == policy.Adaptive.
+	// Decision, if non-nil, is the adaptive policy decision that chose
+	// this run's collector and capacity. Run cross-checks the compiled-in
+	// collector against it (catching callers that decide one collector and
+	// compile another) and adopts its capacity when Capacity is zero.
 	Decision *policy.Decision
 	// Progress, if non-nil, is called every ProgressEvery steps and at
 	// every collector entry. Returning false cancels the run: Run returns
@@ -343,8 +333,8 @@ type RunOptions struct {
 	// ProgressEvery is the Progress cadence in machine steps
 	// (default DefaultProgressEvery).
 	ProgressEvery int
-	// Engine selects the abstract machine (default EngineEnv). Ghost and
-	// CheckEveryStep force EngineSubst regardless.
+	// Engine selects the abstract machine (default EngineEnv).
+	// CheckEveryStep forces EngineSubst regardless.
 	Engine Engine
 	// CoCheck steps the environment machine in lockstep with the
 	// substitution oracle, comparing pending collector calls, step counts,
@@ -352,7 +342,7 @@ type RunOptions struct {
 	// halt. On a disagreement OnDivergence fires and the run falls back to
 	// the oracle alone; the returned Result is always the oracle's, so a
 	// co-checked run is never wrong — only slower. Ignored when the run is
-	// already on the substitution machine (EngineSubst/Ghost/CheckEveryStep).
+	// already on the substitution machine (EngineSubst/CheckEveryStep).
 	CoCheck bool
 	// OnDivergence, if non-nil, is invoked at most once per co-checked run
 	// with the first observed divergence.
@@ -383,13 +373,6 @@ type RunOptions struct {
 	// its next step boundary, delivers it on Checkpointer.Checkpoints, and
 	// stops with ErrCheckpointed.
 	Checkpointer *Checkpointer
-	// ResumeFrom resumes the given checkpoint instead of starting fresh.
-	// Most callers use Checkpoint.Resume, which sets this. The checkpoint
-	// dictates the engine; Backend is honored (cross-backend migration);
-	// capacity and growth policy come from the heap image; a zero Fuel
-	// inherits the checkpoint's remaining fuel. Ghost, CheckEveryStep, and
-	// WrapStore are incompatible with resuming.
-	ResumeFrom *Checkpoint
 	// CheckpointMeta is stamped into every checkpoint captured from this
 	// run (it does not affect execution).
 	CheckpointMeta CheckpointMeta
@@ -437,14 +420,15 @@ var ErrOutOfFuel = errors.New("psgc: out of fuel")
 var ErrCanceled = errors.New("psgc: run canceled")
 
 // NewMachine loads the compiled program into a fresh machine. Most
-// callers want Run; NewMachine is for stepping or inspecting states.
+// callers want Run; NewMachine is for stepping or inspecting states (set
+// the machine's Ghost to maintain Ψ while stepping).
 func (c *Compiled) NewMachine(opts RunOptions) *gclang.Machine {
 	m := gclang.NewMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
 	m.Mem.SetAutoGrow(!opts.FixedCapacity)
 	if opts.WrapStore != nil {
 		m.Mem = opts.WrapStore(m.Mem)
 	}
-	m.Ghost = opts.Ghost || opts.CheckEveryStep
+	m.Ghost = opts.CheckEveryStep
 	return m
 }
 
@@ -475,18 +459,13 @@ func (c *Compiled) Profiler() *obs.Profiler {
 	return obs.NewProfiler(c.entryNames, c.collectorFuns)
 }
 
-// applyPolicy validates opts.Policy and, for an adaptive run backed by a
-// Decision, cross-checks the compiled collector and adopts the decided
-// capacity.
-func (c *Compiled) applyPolicy(opts *RunOptions) error {
-	name, err := policy.Parse(opts.Policy)
-	if err != nil {
-		return fmt.Errorf("psgc: %w", err)
-	}
-	if name != policy.Adaptive || opts.Decision == nil {
+// applyDecision cross-checks an adaptive decision against the compiled
+// collector and adopts the decided capacity.
+func (c *Compiled) applyDecision(opts *RunOptions) error {
+	d := opts.Decision
+	if d == nil {
 		return nil
 	}
-	d := opts.Decision
 	if d.Collector != "" && d.Collector != c.Collector.String() {
 		return fmt.Errorf("psgc: adaptive decision chose collector %q but program is compiled with %q",
 			d.Collector, c.Collector)
@@ -501,44 +480,153 @@ func (c *Compiled) applyPolicy(opts *RunOptions) error {
 // returned error wraps ErrOutOfFuel and the Result still carries the
 // partial execution's statistics.
 //
-// The engine is opts.Engine (environment machine by default); Ghost and
-// CheckEveryStep force the substitution machine, which carries the ghost Ψ.
+// The engine is opts.Engine (environment machine by default);
+// CheckEveryStep forces the substitution machine, which carries the ghost
+// Ψ, and CoCheck steps the environment machine in lockstep with it.
 func (c *Compiled) Run(opts RunOptions) (Result, error) {
-	if err := c.applyPolicy(&opts); err != nil {
+	return c.run(opts, nil)
+}
+
+// run drives one execution, fresh or resumed from a checkpoint. Whatever
+// the engine, one loop steps it: fuel, checkpoints, Progress and the
+// collection count live here and nowhere else.
+func (c *Compiled) run(opts RunOptions, from *Checkpoint) (Result, error) {
+	if err := c.applyDecision(&opts); err != nil {
 		return Result{}, err
 	}
 	if opts.CheckpointEvery > 0 && opts.OnCheckpoint == nil {
 		return Result{}, errors.New("psgc: CheckpointEvery requires OnCheckpoint")
 	}
-	if (opts.CheckpointEvery > 0 || opts.Checkpointer != nil) && (opts.Ghost || opts.CheckEveryStep) {
+	if (opts.CheckpointEvery > 0 || opts.Checkpointer != nil) && opts.CheckEveryStep {
 		return Result{}, errors.New("psgc: checkpointing is not supported in ghost mode")
 	}
-	if ck := opts.ResumeFrom; ck != nil {
-		if ck.compiled != c {
-			return Result{}, errors.New("psgc: checkpoint belongs to a different compiled program (use Checkpoint.Resume)")
+	m, err := c.load(&opts, from)
+	if err != nil {
+		return Result{}, err
+	}
+	collections := 0
+	if from != nil {
+		collections = from.Collections
+	}
+	if opts.Recorder != nil {
+		opts.Recorder.Attach(m)
+	}
+	if opts.Profiler != nil {
+		if from != nil && from.profiler != nil {
+			// The resumed profile, reservoir sampler included, continues
+			// where the checkpointed run left off.
+			if err := opts.Profiler.Restore(*from.profiler); err != nil {
+				return Result{}, fmt.Errorf("psgc: resume profiler: %w", err)
+			}
 		}
-		if opts.Ghost || opts.CheckEveryStep {
-			return Result{}, errors.New("psgc: cannot resume a checkpoint into ghost mode")
+		opts.Profiler.Attach(m)
+	}
+	var ghost *gclang.Machine
+	if opts.CheckEveryStep {
+		ghost = m.(*gclang.Machine)
+	}
+	s := m.Shared()
+	fuel, every := runBudgets(opts)
+	lastCk := s.Steps
+	for !s.Halted {
+		if opts.Checkpointer != nil && opts.Checkpointer.take() {
+			ck, err := c.capture(m, &opts, collections, fuel)
+			if err != nil {
+				return Result{}, err
+			}
+			opts.Checkpointer.deliver(ck)
+			return partialResult(s, collections), fmt.Errorf("%w at step %d", ErrCheckpointed, s.Steps)
 		}
-		if opts.WrapStore != nil {
-			return Result{}, errors.New("psgc: WrapStore is not supported on resume")
+		if opts.CheckpointEvery > 0 && s.Steps != lastCk && s.Steps%opts.CheckpointEvery == 0 {
+			lastCk = s.Steps
+			ck, err := c.capture(m, &opts, collections, fuel)
+			if err != nil {
+				return Result{}, err
+			}
+			if !opts.OnCheckpoint(ck) {
+				return partialResult(s, collections), fmt.Errorf("%w at step %d", ErrCheckpointed, s.Steps)
+			}
 		}
-		// The checkpoint dictates the engine: a subst image resumes on the
-		// substitution machine, an env image on the environment machine
-		// (co-checked if opts.CoCheck, with the oracle rebuilt from the
-		// same image).
-		opts.Engine = ck.Engine
-		if opts.Fuel == 0 && ck.FuelRemaining > 0 {
-			opts.Fuel = ck.FuelRemaining
+		if fuel <= 0 {
+			return partialResult(s, collections), fmt.Errorf("%w after %d steps", ErrOutOfFuel, s.Steps)
+		}
+		fuel--
+		// A term about to invoke a collector entry point is a collection.
+		collected := false
+		if a, ok := m.PendingCall(); ok {
+			for _, e := range c.entries {
+				if a == e {
+					collections++
+					collected = true
+				}
+			}
+		}
+		if err := m.Step(); err != nil {
+			return Result{}, err
+		}
+		if ghost != nil {
+			if err := ghost.CheckState(); err != nil {
+				return Result{}, err
+			}
+		}
+		if opts.Progress != nil && (collected || s.Steps%every == 0) {
+			ok := opts.Progress(Progress{
+				Steps:       s.Steps,
+				Collections: collections,
+				LiveCells:   s.Mem.LiveCells(),
+			})
+			if !ok {
+				return partialResult(s, collections), fmt.Errorf("%w after %d steps", ErrCanceled, s.Steps)
+			}
 		}
 	}
-	if opts.Engine == EngineSubst || opts.Ghost || opts.CheckEveryStep {
-		return c.runSubst(opts)
+	n, ok := s.Result.(gclang.Num)
+	if !ok {
+		return Result{}, fmt.Errorf("psgc: program halted with non-integer %s", s.Result)
 	}
-	if opts.CoCheck {
-		return c.runCoChecked(opts)
+	res := partialResult(s, collections)
+	res.Value = n.N
+	return res, nil
+}
+
+// load builds the machine a run drives, choosing the engine once: the
+// substitution machine for EngineSubst and CheckEveryStep, the co-check
+// lockstep pair for CoCheck, the environment machine otherwise. A resumed
+// run takes its engine from the checkpoint and its state from the image,
+// on opts.Backend.
+func (c *Compiled) load(opts *RunOptions, from *Checkpoint) (gclang.Stepper, error) {
+	engine := opts.Engine
+	if opts.CheckEveryStep {
+		engine = EngineSubst
 	}
-	return c.runEnv(opts)
+	if from != nil {
+		engine = from.Engine
+	}
+	d := c.Collector.Dialect()
+	switch {
+	case engine == EngineSubst && from == nil:
+		return c.NewMachine(*opts), nil
+	case engine == EngineSubst:
+		m, err := gclang.RestoreMachine(opts.Backend, d, c.Prog, from.image)
+		if err != nil {
+			return nil, fmt.Errorf("psgc: resume: %w", err)
+		}
+		return m, nil
+	case opts.CoCheck:
+		p, err := c.newLockstep(opts, from)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	case from == nil:
+		return c.NewEnvMachine(*opts), nil
+	default:
+		m, err := c.code.RestoreEnvMachine(opts.Backend, d, from.image)
+		if err != nil {
+			return nil, fmt.Errorf("psgc: resume: %w", err)
+		}
+		return m, nil
+	}
 }
 
 func runBudgets(opts RunOptions) (fuel, every int) {
@@ -553,167 +641,13 @@ func runBudgets(opts RunOptions) (fuel, every int) {
 	return fuel, every
 }
 
-func (c *Compiled) runSubst(opts RunOptions) (Result, error) {
-	var m *gclang.Machine
-	collections := 0
-	if ck := opts.ResumeFrom; ck != nil {
-		var err error
-		m, err = gclang.RestoreMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume: %w", err)
-		}
-		collections = ck.Collections
-	} else {
-		m = c.NewMachine(opts)
-	}
-	if opts.Recorder != nil {
-		opts.Recorder.Attach(m)
-	}
-	if err := restoreProfiler(&opts); err != nil {
-		return Result{}, err
-	}
-	if opts.Profiler != nil {
-		opts.Profiler.Attach(m)
-	}
-	fuel, every := runBudgets(opts)
-	lastCk := m.Steps
-	for !m.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := c.captureSubst(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-		}
-		if opts.CheckpointEvery > 0 && m.Steps != lastCk && m.Steps%opts.CheckpointEvery == 0 {
-			lastCk = m.Steps
-			ck, err := c.captureSubst(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-			}
-		}
-		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
-		}
-		fuel--
-		// A term about to invoke a collector entry point is a collection.
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
-			collections++
-			collected = true
-		}
-		if err := m.Step(); err != nil {
-			return Result{}, err
-		}
-		if opts.CheckEveryStep {
-			if err := m.CheckState(); err != nil {
-				return Result{}, err
-			}
-		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
-				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
-			}
-		}
-	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
-}
-
-func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
-	var m *gclang.EnvMachine
-	collections := 0
-	if ck := opts.ResumeFrom; ck != nil {
-		var err error
-		m, err = c.code.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume: %w", err)
-		}
-		collections = ck.Collections
-	} else {
-		m = c.NewEnvMachine(opts)
-	}
-	if opts.Recorder != nil {
-		opts.Recorder.AttachEnv(m)
-	}
-	if err := restoreProfiler(&opts); err != nil {
-		return Result{}, err
-	}
-	if opts.Profiler != nil {
-		opts.Profiler.AttachEnv(m)
-	}
-	fuel, every := runBudgets(opts)
-	lastCk := m.Steps
-	for !m.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := c.captureEnv(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-		}
-		if opts.CheckpointEvery > 0 && m.Steps != lastCk && m.Steps%opts.CheckpointEvery == 0 {
-			lastCk = m.Steps
-			ck, err := c.captureEnv(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-			}
-		}
-		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
-		}
-		fuel--
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
-			collections++
-			collected = true
-		}
-		if err := m.Step(); err != nil {
-			return Result{}, err
-		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
-				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
-			}
-		}
-	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
-}
-
-func finishResult(v gclang.Value, steps, collections int, mem regions.Store[gclang.Cell]) (Result, error) {
-	n, ok := v.(gclang.Num)
-	if !ok {
-		return Result{}, fmt.Errorf("psgc: program halted with non-integer %s", v)
-	}
-	res := partialResult(steps, collections, mem)
-	res.Value = n.N
-	return res, nil
-}
-
 // partialResult snapshots an execution's observable statistics.
-func partialResult(steps, collections int, mem regions.Store[gclang.Cell]) Result {
+func partialResult(s *gclang.Core, collections int) Result {
 	return Result{
-		Steps:       steps,
+		Steps:       s.Steps,
 		Collections: collections,
-		Stats:       mem.Stats(),
-		LiveCells:   mem.LiveCells(),
+		Stats:       s.Mem.Stats(),
+		LiveCells:   s.Mem.LiveCells(),
 	}
 }
 

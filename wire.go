@@ -119,10 +119,6 @@ func recertify(col Collector, prog gclang.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("program does not typecheck: %w", err)
 	}
-	entries := map[regions.Addr]bool{}
-	for _, a := range v.Entries {
-		entries[a] = true
-	}
 	entryNames := map[regions.Addr]string{}
 	if col == Generational {
 		entryNames[v.Minor.Addr] = "minor"
@@ -132,7 +128,7 @@ func recertify(col Collector, prog gclang.Program) (*Compiled, error) {
 	}
 	return &Compiled{
 		Collector: col, Prog: elab,
-		entries: entries, entryNames: entryNames, collectorFuns: len(v.Funs),
+		entries: v.Entries, entryNames: entryNames, collectorFuns: len(v.Funs),
 		code: gclang.LowerOnto(v.Code, elab),
 	}, nil
 }
