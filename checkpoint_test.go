@@ -317,11 +317,23 @@ func TestDecodeCheckpointRejectsCorruptBlobs(t *testing.T) {
 	reject("truncated_short", blob[:10])
 	reject("truncated_half", blob[:len(blob)/2])
 	reject("truncated_trailer", blob[:len(blob)-1])
-	for _, pos := range []int{0, 11, len(blob) / 3, len(blob) / 2, len(blob) - 3} {
+	flip := func(name string, pos int) {
+		if pos < 0 || pos >= len(blob) {
+			t.Fatalf("%s: offset %d outside a %d-byte blob", name, pos, len(blob))
+		}
 		mut := append([]byte(nil), blob...)
 		mut[pos] ^= 0x20
-		reject(fmt.Sprintf("bitflip_%d", pos), mut)
+		reject(name, mut)
 	}
+	// Fixed offsets keep their subtest names across encoder changes; the
+	// relative ones follow the blob's layout (a third in, the middle, and
+	// the sealing trailer) whatever its length.
+	for _, pos := range []int{0, 11, 218501, 327752, 655501} {
+		flip(fmt.Sprintf("bitflip_%d", pos), pos)
+	}
+	flip("bitflip_third", len(blob)/3)
+	flip("bitflip_half", len(blob)/2)
+	flip("bitflip_trailer", len(blob)-3)
 
 	// Semantic tampers: rebuild a validly-sealed blob around a corrupted
 	// snapshot, so only the re-certification layers can catch it.

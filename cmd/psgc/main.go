@@ -45,6 +45,7 @@ import (
 	"psgc/internal/closconv"
 	"psgc/internal/cps"
 	"psgc/internal/fault"
+	"psgc/internal/names"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
 	"psgc/internal/regions"
@@ -382,17 +383,18 @@ func showForm(stdout io.Writer, src string, col psgc.Collector, form string) err
 	case "source":
 		fmt.Fprintln(stdout, p)
 	case "cps":
-		cp, err := cps.Convert(p)
+		cp, err := cps.Convert(p, new(names.Supply))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(stdout, cp)
 	case "clos":
-		cp, err := cps.Convert(p)
+		var supply names.Supply
+		cp, err := cps.Convert(p, &supply)
 		if err != nil {
 			return err
 		}
-		lp, err := closconv.Convert(cp)
+		lp, err := closconv.Convert(cp, &supply)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"psgc/internal/closconv"
 	"psgc/internal/cps"
 	"psgc/internal/gclang"
+	"psgc/internal/names"
 	"psgc/internal/regions"
 	"psgc/internal/source"
 	"psgc/internal/tags"
@@ -98,7 +99,8 @@ fun g (q : (int * int) * int) : int = f (fst q)
 do g ((1, 2), 3) + f (4, 5)
 `
 	p := source.MustParse(src)
-	lp := closconv.MustConvert(cps.MustConvert(p))
+	var supply names.Supply
+	lp := closconv.MustConvert(cps.MustConvert(p, &supply), &supply)
 	n := SpecializationCount(lp)
 	if n <= ITACollectorBlocks {
 		t.Errorf("specializations = %d, expected more than the constant %d ITA blocks",

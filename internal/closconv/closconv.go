@@ -52,9 +52,11 @@ func closurePairBody(arg tags.Tag) tags.Tag {
 	}
 }
 
-// Convert closure-converts a CPS program into λCLOS.
-func Convert(p cps.Program) (clos.Program, error) {
+// Convert closure-converts a CPS program into λCLOS, drawing fresh binders
+// from s: pass the supply cps.Convert drew from.
+func Convert(p cps.Program, s *names.Supply) (clos.Program, error) {
 	c := &converter{
+		supply:        s,
 		funParamTypes: map[names.Name]tags.Tag{},
 	}
 	for _, f := range p.Funs {
@@ -85,8 +87,8 @@ func Convert(p cps.Program) (clos.Program, error) {
 }
 
 // MustConvert is Convert for programs known to be well-formed.
-func MustConvert(p cps.Program) clos.Program {
-	out, err := Convert(p)
+func MustConvert(p cps.Program, s *names.Supply) clos.Program {
+	out, err := Convert(p, s)
 	if err != nil {
 		panic(err)
 	}
@@ -94,7 +96,7 @@ func MustConvert(p cps.Program) clos.Program {
 }
 
 type converter struct {
-	supply        names.Supply
+	supply        *names.Supply
 	funParamTypes map[names.Name]tags.Tag
 	out           []clos.FunDef
 }

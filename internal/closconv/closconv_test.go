@@ -5,6 +5,7 @@ import (
 
 	"psgc/internal/clos"
 	"psgc/internal/cps"
+	"psgc/internal/names"
 	"psgc/internal/source"
 	"psgc/internal/tags"
 )
@@ -19,11 +20,12 @@ func pipelineRun(t *testing.T, src string) int {
 	if err != nil {
 		t.Fatalf("source eval: %v", err)
 	}
-	cp, err := cps.Convert(p)
+	var supply names.Supply
+	cp, err := cps.Convert(p, &supply)
 	if err != nil {
 		t.Fatalf("cps: %v", err)
 	}
-	lp, err := Convert(cp)
+	lp, err := Convert(cp, &supply)
 	if err != nil {
 		t.Fatalf("closconv: %v", err)
 	}
@@ -80,7 +82,8 @@ func TestAllFunctionsAreClosed(t *testing.T) {
 	// types bodies closed) enforces it, but we also walk for stray vars.
 	src := "let a = 1 in let b = 2 in (fn (x : int) => a + b + x) 39"
 	p := source.MustParse(src)
-	lp := MustConvert(cps.MustConvert(p))
+	var supply names.Supply
+	lp := MustConvert(cps.MustConvert(p, &supply), &supply)
 	if err := clos.CheckProgram(lp); err != nil {
 		t.Fatalf("not closed: %v", err)
 	}

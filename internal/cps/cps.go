@@ -179,8 +179,10 @@ func ConvertType(t source.Type) tags.Tag {
 }
 
 // Convert CPS-converts a typechecked source program whose main expression
-// has type int.
-func Convert(p source.Program) (Program, error) {
+// has type int. Every binder it introduces, renamed source binders
+// included, is drawn from s; the later passes draw from the same supply
+// so that no binder they introduce can capture one introduced here.
+func Convert(p source.Program, s *names.Supply) (Program, error) {
 	mainTy, err := source.CheckProgram(p)
 	if err != nil {
 		return Program{}, err
@@ -188,7 +190,7 @@ func Convert(p source.Program) (Program, error) {
 	if !source.TypeEqual(mainTy, source.IntT{}) {
 		return Program{}, fmt.Errorf("cps: program result type is %s, want int", mainTy)
 	}
-	c := &converter{topFuns: make(names.Set)}
+	c := &converter{supply: s, topFuns: make(names.Set)}
 	for _, f := range p.Funs {
 		c.topFuns.Add(f.Name)
 	}
@@ -219,8 +221,8 @@ func Convert(p source.Program) (Program, error) {
 }
 
 // MustConvert is Convert for programs known to be well-typed.
-func MustConvert(p source.Program) Program {
-	out, err := Convert(p)
+func MustConvert(p source.Program, s *names.Supply) Program {
+	out, err := Convert(p, s)
 	if err != nil {
 		panic(err)
 	}
@@ -228,7 +230,7 @@ func MustConvert(p source.Program) Program {
 }
 
 type converter struct {
-	supply  names.Supply
+	supply  *names.Supply
 	topFuns names.Set
 }
 

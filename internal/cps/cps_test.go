@@ -3,6 +3,7 @@ package cps
 import (
 	"testing"
 
+	"psgc/internal/names"
 	"psgc/internal/source"
 	"psgc/internal/tags"
 )
@@ -17,7 +18,7 @@ func convertAndRun(t *testing.T, src string) int {
 	if err != nil {
 		t.Fatalf("source eval: %v", err)
 	}
-	cp, err := Convert(p)
+	cp, err := Convert(p, new(names.Supply))
 	if err != nil {
 		t.Fatalf("cps convert: %v", err)
 	}
@@ -65,14 +66,14 @@ func TestConvertType(t *testing.T) {
 
 func TestConvertRejectsNonIntMain(t *testing.T) {
 	p := source.MustParse("(1, 2)")
-	if _, err := Convert(p); err == nil {
+	if _, err := Convert(p, new(names.Supply)); err == nil {
 		t.Errorf("Convert accepted a pair-typed main")
 	}
 }
 
 func TestConvertRejectsIllTyped(t *testing.T) {
 	p := source.MustParse("1 1")
-	if _, err := Convert(p); err == nil {
+	if _, err := Convert(p, new(names.Supply)); err == nil {
 		t.Errorf("Convert accepted an ill-typed program")
 	}
 }
@@ -83,7 +84,7 @@ func TestAllCallsAreTailCalls(t *testing.T) {
 	// We verify no Lam body ends without reaching App/Halt/If0 chains by
 	// simply walking the structure.
 	p := source.MustParse("fun fact (n : int) : int = if0 n then 1 else n * fact (n - 1)\ndo fact 5")
-	cp := MustConvert(p)
+	cp := MustConvert(p, new(names.Supply))
 	var checkTerm func(Term)
 	var checkValue func(Value)
 	checkValue = func(v Value) {
@@ -128,7 +129,7 @@ func TestAllCallsAreTailCalls(t *testing.T) {
 
 func TestFuel(t *testing.T) {
 	p := source.MustParse("fun loop (n : int) : int = loop n\ndo loop 0")
-	cp := MustConvert(p)
+	cp := MustConvert(p, new(names.Supply))
 	if _, err := Run(cp, 1000); err != ErrFuel {
 		t.Errorf("expected ErrFuel, got %v", err)
 	}

@@ -38,12 +38,14 @@ type Options struct {
 
 // Translate compiles a λCLOS program to λGC. The mutator's code blocks
 // are appended to opts.Layout and the returned program's Code is the
-// layout's full block list (collector first, mutator after).
-func Translate(p clos.Program, l *collector.Layout, opts Options) (gclang.Program, error) {
+// layout's full block list (collector first, mutator after). Fresh
+// binders come from s, which must be the supply the earlier passes drew
+// from.
+func Translate(p clos.Program, l *collector.Layout, opts Options, s *names.Supply) (gclang.Program, error) {
 	if err := clos.CheckProgram(p); err != nil {
 		return gclang.Program{}, fmt.Errorf("translate: input: %w", err)
 	}
-	tr := &translator{opts: opts, layout: l,
+	tr := &translator{opts: opts, layout: l, supply: s,
 		funs: map[names.Name]tags.Tag{}}
 	for _, f := range p.Funs {
 		tr.funs[f.Name] = tags.Code{Args: []tags.Tag{f.ParamType}}
@@ -70,7 +72,7 @@ type translator struct {
 	opts   Options
 	layout *collector.Layout
 	funs   map[names.Name]tags.Tag
-	supply names.Supply
+	supply *names.Supply
 }
 
 // regionNames returns the mutator's region parameter names for the

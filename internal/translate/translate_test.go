@@ -7,6 +7,7 @@ import (
 	"psgc/internal/clos"
 	"psgc/internal/collector"
 	"psgc/internal/gclang"
+	"psgc/internal/names"
 	"psgc/internal/source"
 	"psgc/internal/tags"
 )
@@ -63,7 +64,7 @@ func TestTranslateAllDialects(t *testing.T) {
 	}
 	for _, d := range []gclang.Dialect{gclang.Base, gclang.Forw, gclang.Gen} {
 		l, opts := link(d)
-		gp, err := Translate(p, l, opts)
+		gp, err := Translate(p, l, opts, new(names.Supply))
 		if err != nil {
 			t.Fatalf("%v: translate: %v", d, err)
 		}
@@ -86,7 +87,7 @@ func TestTranslateAllDialects(t *testing.T) {
 func TestTranslateInsertsGCChecks(t *testing.T) {
 	p := sample()
 	l, opts := link(gclang.Base)
-	gp, err := Translate(p, l, opts)
+	gp, err := Translate(p, l, opts, new(names.Supply))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTranslateInsertsGCChecks(t *testing.T) {
 func TestTranslateGenUsesTwoChecks(t *testing.T) {
 	p := sample()
 	l, opts := link(gclang.Gen)
-	gp, err := Translate(p, l, opts)
+	gp, err := Translate(p, l, opts, new(names.Supply))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRepresentations(t *testing.T) {
 		Body: clos.Halt{V: clos.Num{N: 0}}}}
 	find := func(d gclang.Dialect) string {
 		l, opts := link(d)
-		gp, err := Translate(p, l, opts)
+		gp, err := Translate(p, l, opts, new(names.Supply))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestRepresentations(t *testing.T) {
 func TestTranslateRejectsIllTypedInput(t *testing.T) {
 	bad := clos.Program{Main: clos.Halt{V: clos.Var{Name: "nope"}}}
 	l, opts := link(gclang.Base)
-	if _, err := Translate(bad, l, opts); err == nil {
+	if _, err := Translate(bad, l, opts, new(names.Supply)); err == nil {
 		t.Errorf("ill-typed λCLOS accepted")
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"psgc/internal/cps"
 	"psgc/internal/fault"
 	"psgc/internal/gclang"
+	"psgc/internal/names"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
 	"psgc/internal/regions"
@@ -150,14 +151,17 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	if col < Basic || col > Generational {
 		return nil, fmt.Errorf("psgc: unknown collector %v", col)
 	}
+	// One supply for every pass: a binder translate introduces must not
+	// capture one that cps or closconv introduced.
+	var supply names.Supply
 	end := pl.Phase("cps")
-	cp, err := cps.Convert(p)
+	cp, err := cps.Convert(p, &supply)
 	end()
 	if err != nil {
 		return nil, err
 	}
 	end = pl.Phase("closconv")
-	lp, err := closconv.Convert(cp)
+	lp, err := closconv.Convert(cp, &supply)
 	end()
 	if err != nil {
 		return nil, err
@@ -178,7 +182,7 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 		entryNames[v.GC.Addr] = "gc"
 	}
 	end = pl.Phase("translate")
-	gp, err := translate.Translate(lp, l, opts)
+	gp, err := translate.Translate(lp, l, opts, &supply)
 	end()
 	if err != nil {
 		return nil, err
@@ -202,11 +206,12 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 // compile did before the verified-collector cache existed. It is kept as
 // the baseline for BenchmarkCompileCold and the cache-equivalence test.
 func compileProgramCold(p source.Program, col Collector) (*Compiled, error) {
-	cp, err := cps.Convert(p)
+	var supply names.Supply
+	cp, err := cps.Convert(p, &supply)
 	if err != nil {
 		return nil, err
 	}
-	lp, err := closconv.Convert(cp)
+	lp, err := closconv.Convert(cp, &supply)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +241,7 @@ func compileProgramCold(p source.Program, col Collector) (*Compiled, error) {
 		return nil, fmt.Errorf("psgc: unknown collector %v", col)
 	}
 	collectorFuns := len(l.Funs)
-	gp, err := translate.Translate(lp, l, opts)
+	gp, err := translate.Translate(lp, l, opts, &supply)
 	if err != nil {
 		return nil, err
 	}
