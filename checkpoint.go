@@ -23,7 +23,6 @@ package psgc
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"psgc/internal/checkpoint"
 	"psgc/internal/gclang"
@@ -32,9 +31,9 @@ import (
 )
 
 // ErrCheckpointed is returned (wrapped) by Run when the run stopped at a
-// checkpoint: an on-demand Checkpointer request, or OnCheckpoint
-// returning false. The accompanying Result carries the partial
-// execution's statistics, like ErrOutOfFuel.
+// checkpoint: a Progress callback took Progress.Checkpoint and returned
+// false. The accompanying Result carries the partial execution's
+// statistics, like ErrOutOfFuel.
 var ErrCheckpointed = errors.New("psgc: run checkpointed")
 
 // ParseCollector parses a collector name as produced by Collector.String:
@@ -48,24 +47,17 @@ func ParseCollector(s string) (Collector, error) {
 	case "generational":
 		return Generational, nil
 	default:
-		return 0, fmt.Errorf("psgc: unknown collector %q", s)
+		return 0, fmt.Errorf("psgc: unknown collector %q (want basic, forwarding, or generational)", s)
 	}
 }
 
-// CheckpointMeta is identity metadata stamped into checkpoints captured
-// from a run. Neither field affects execution; they let a fleet key a
-// resumed run back to its origin (the gate's idempotent migration keys on
-// TraceID).
-type CheckpointMeta struct {
-	SourceHash string
-	TraceID    string
-}
-
-// Checkpoint is a paused run. Capture one with RunOptions.Checkpointer or
-// RunOptions.CheckpointEvery; serialize with Encode; rebuild from a blob
-// with DecodeCheckpoint; continue it — on any backend — with Resume.
+// Checkpoint is a paused run. Capture one with Progress.Checkpoint;
+// serialize with Encode; rebuild from a blob with DecodeCheckpoint;
+// continue it — on any backend — with Resume.
 type Checkpoint struct {
-	// SourceHash and TraceID are the CheckpointMeta of the captured run.
+	// SourceHash and TraceID identify the run to a fleet; the caller that
+	// captures the checkpoint stamps them. Neither affects execution; the
+	// gate's idempotent migration keys on TraceID.
 	SourceHash string
 	TraceID    string
 	// Collector and Engine the run was using; Backend it was captured on.
@@ -196,46 +188,45 @@ func (ck *Checkpoint) Resume(opts RunOptions) (Result, error) {
 	return ck.compiled.run(opts, ck)
 }
 
-// Checkpointer requests an on-demand checkpoint from a running Run: call
-// Request (from any goroutine) and the run captures its state at the next
-// step boundary, delivers it on Checkpoints, and stops with
-// ErrCheckpointed. The service's POST /snapshot uses this to pause a
-// streaming run; the gate migrates the resulting blob to a peer. One
-// Checkpointer serves one run.
-type Checkpointer struct {
-	flag atomic.Bool
-	ch   chan *Checkpoint
+// tick is the driver state behind a Progress value: the machine the run
+// steps, its profiler and whether it is in ghost mode, the collection count
+// and fuel left at the current tick, whether the Progress callback is
+// running (open), and whether it has taken a checkpoint this tick.
+type tick struct {
+	c                 *Compiled
+	m                 gclang.Stepper
+	prof              *obs.Profiler
+	ghost             bool
+	collections, fuel int
+	open, taken       bool
 }
 
-// NewCheckpointer returns a Checkpointer ready to pass in
-// RunOptions.Checkpointer.
-func NewCheckpointer() *Checkpointer {
-	return &Checkpointer{ch: make(chan *Checkpoint, 1)}
-}
-
-// Request asks the run to checkpoint and stop at its next step boundary.
-// Safe to call from any goroutine; calling it more than once is the same
-// as calling it once.
-func (cp *Checkpointer) Request() { cp.flag.Store(true) }
-
-// Checkpoints delivers the captured checkpoint. Nothing arrives unless
-// Request was called; at most one checkpoint is ever delivered. If the
-// run halts or errors before reaching a step boundary, nothing arrives —
-// pair a receive with the Run returning.
-func (cp *Checkpointer) Checkpoints() <-chan *Checkpoint { return cp.ch }
-
-func (cp *Checkpointer) take() bool { return cp.flag.CompareAndSwap(true, false) }
-
-func (cp *Checkpointer) deliver(ck *Checkpoint) {
-	select {
-	case cp.ch <- ck:
-	default:
+// Checkpoint captures the run at this Progress tick. A tick is a step
+// boundary — never mid-transition, so never mid-scavenge: a collection in
+// flight simply finishes its current step like any other. Checkpoint is
+// valid only inside the RunOptions.Progress callback that received p; if
+// the callback then returns false, Run stops with ErrCheckpointed. The
+// caller stamps SourceHash and TraceID. Ghost mode (CheckEveryStep) cannot
+// be checkpointed.
+func (p Progress) Checkpoint() (*Checkpoint, error) {
+	t := p.tick
+	if t == nil || !t.open {
+		return nil, errors.New("psgc: checkpoint outside the Progress callback")
 	}
+	if t.ghost {
+		return nil, errors.New("psgc: checkpointing is not supported in ghost mode")
+	}
+	ck, err := t.c.capture(t.m, t.prof, t.collections, t.fuel)
+	if err != nil {
+		return nil, err
+	}
+	t.taken = true
+	return ck, nil
 }
 
 // capture checkpoints the machine a run drives, taking the engine from the
 // machine's type. A co-check pair is captured from its live machine.
-func (c *Compiled) capture(m gclang.Stepper, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
+func (c *Compiled) capture(m gclang.Stepper, prof *obs.Profiler, collections, fuelLeft int) (*Checkpoint, error) {
 	if p, ok := m.(*lockstep); ok {
 		m = p.live()
 	}
@@ -248,8 +239,6 @@ func (c *Compiled) capture(m gclang.Stepper, opts *RunOptions, collections, fuel
 		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
 	}
 	ck := &Checkpoint{
-		SourceHash:    opts.CheckpointMeta.SourceHash,
-		TraceID:       opts.CheckpointMeta.TraceID,
 		Collector:     c.Collector,
 		Backend:       m.Shared().Mem.Backend(),
 		Engine:        eng,
@@ -259,8 +248,8 @@ func (c *Compiled) capture(m gclang.Stepper, opts *RunOptions, collections, fuel
 		compiled:      c,
 		image:         img,
 	}
-	if opts.Profiler != nil {
-		pi := opts.Profiler.Image()
+	if prof != nil {
+		pi := prof.Image()
 		ck.profiler = &pi
 	}
 	return ck, nil

@@ -14,18 +14,29 @@ import (
 )
 
 // checkpointAt runs the compiled program until step `cut`, captures a
-// checkpoint there, and asserts the run stopped with ErrCheckpointed.
+// checkpoint at that Progress tick, and asserts the run stopped with
+// ErrCheckpointed.
 func checkpointAt(t *testing.T, c *Compiled, opts RunOptions, cut int) *Checkpoint {
 	t.Helper()
 	var ck *Checkpoint
-	opts.CheckpointEvery = cut
-	opts.OnCheckpoint = func(k *Checkpoint) bool { ck = k; return false }
+	var ckErr error
+	opts.ProgressEvery = cut
+	opts.Progress = func(p Progress) bool {
+		if p.Steps != cut {
+			return true // a collection tick
+		}
+		ck, ckErr = p.Checkpoint()
+		return false
+	}
 	_, err := c.Run(opts)
+	if ckErr != nil {
+		t.Fatalf("checkpoint at step %d: %v", cut, ckErr)
+	}
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("run did not checkpoint: %v", err)
 	}
 	if ck == nil {
-		t.Fatal("OnCheckpoint never fired")
+		t.Fatal("Progress never reached the cut")
 	}
 	if ck.Steps != cut {
 		t.Fatalf("checkpoint at step %d, want %d", ck.Steps, cut)
@@ -67,11 +78,8 @@ func TestCheckpointResumeCrossBackend(t *testing.T) {
 			for _, dir := range dirs {
 				dir := dir
 				t.Run(fmt.Sprintf("%v/cap%d/%s", col, capac, dir.name), func(t *testing.T) {
-					ck := checkpointAt(t, c, RunOptions{
-						Capacity:       capac,
-						Backend:        dir.from,
-						CheckpointMeta: CheckpointMeta{SourceHash: "h1", TraceID: "mig-1"},
-					}, ref.Steps/2)
+					ck := checkpointAt(t, c, RunOptions{Capacity: capac, Backend: dir.from}, ref.Steps/2)
+					ck.SourceHash, ck.TraceID = "h1", "mig-1"
 					if ck.Backend != dir.from || ck.Engine != EngineEnv || ck.Collector != col {
 						t.Fatalf("checkpoint identity wrong: %+v", ck)
 					}
@@ -103,10 +111,9 @@ func TestCheckpointResumeCrossBackend(t *testing.T) {
 }
 
 // TestCheckpointerPausesOnDemand exercises the service's pause path: a
-// Progress callback requests a checkpoint mid-run, the run stops at the
-// next step boundary with ErrCheckpointed, delivers the checkpoint on the
-// channel, and the resumed run (other backend) matches the uninterrupted
-// one.
+// pause requested at one Progress tick is taken at the next tick through
+// Progress.Checkpoint, the run stops with ErrCheckpointed, and the resumed
+// run (other backend) matches the uninterrupted one.
 func TestCheckpointerPausesOnDemand(t *testing.T) {
 	src := workload.AllocHeavySrc(30)
 	c, err := Compile(src, Basic)
@@ -117,29 +124,30 @@ func TestCheckpointerPausesOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := NewCheckpointer()
 	requested := false
+	var ck *Checkpoint
+	var ckErr error
 	res, err := c.Run(RunOptions{
 		Capacity:      32,
 		Backend:       regions.BackendArena,
-		Checkpointer:  cp,
 		ProgressEvery: 100,
 		Progress: func(p Progress) bool {
-			if !requested && p.Steps >= ref.Steps/2 {
-				requested = true
-				cp.Request()
+			if requested {
+				ck, ckErr = p.Checkpoint()
+				return false
 			}
+			requested = p.Steps >= ref.Steps/2
 			return true
 		},
 	})
+	if ckErr != nil {
+		t.Fatal(ckErr)
+	}
 	if !errors.Is(err, ErrCheckpointed) {
 		t.Fatalf("run did not stop at checkpoint: %v (res %+v)", err, res)
 	}
-	var ck *Checkpoint
-	select {
-	case ck = <-cp.Checkpoints():
-	default:
-		t.Fatal("no checkpoint delivered")
+	if ck == nil {
+		t.Fatal("no checkpoint taken")
 	}
 	if ck.Steps <= ref.Steps/2 || ck.Steps >= ref.Steps {
 		t.Fatalf("checkpoint at step %d, expected mid-run (ref %d)", ck.Steps, ref.Steps)
@@ -371,18 +379,31 @@ func TestDecodeCheckpointRejectsCorruptBlobs(t *testing.T) {
 	}
 }
 
-// TestCheckpointOptionValidation pins the option combinations Run refuses.
+// TestCheckpointOptionValidation pins the checkpoints and option
+// combinations the driver refuses.
 func TestCheckpointOptionValidation(t *testing.T) {
 	src := workload.AllocHeavySrc(10)
 	c, err := Compile(src, Basic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(RunOptions{CheckpointEvery: 100}); err == nil {
-		t.Fatal("CheckpointEvery without OnCheckpoint accepted")
-	}
-	if _, err := c.Run(RunOptions{CheckEveryStep: true, Checkpointer: NewCheckpointer()}); err == nil {
+	var ghostErr error
+	_, err = c.Run(RunOptions{CheckEveryStep: true, ProgressEvery: 10, Progress: func(p Progress) bool {
+		_, ghostErr = p.Checkpoint()
+		return false
+	}})
+	if ghostErr == nil {
 		t.Fatal("checkpointing in ghost mode accepted")
+	}
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("ghost run after a refused checkpoint: %v, want ErrCanceled", err)
+	}
+	var stale Progress
+	if _, err := c.Run(RunOptions{ProgressEvery: 10, Progress: func(p Progress) bool { stale = p; return true }}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stale.Checkpoint(); err == nil {
+		t.Fatal("checkpoint after the Progress callback returned accepted")
 	}
 	ref, err := c.Run(RunOptions{Capacity: 32})
 	if err != nil {

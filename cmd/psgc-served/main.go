@@ -32,7 +32,7 @@
 //	-self url             this node's advertised base URL, excluded from its own peer fetches
 //	-batch-max N          max items per /batch request (default 256)
 //	-incident-dir dir     persist the incident log as <dir>/incidents.jsonl, replayed on boot (off by default)
-//	-snapshot-wait-ms N   how long POST /snapshot waits for a step boundary (default 2000)
+//	-snapshot-wait-ms N   how long POST /snapshot waits for a progress tick (default 2000)
 package main
 
 import (
@@ -83,7 +83,7 @@ func main() {
 		batchMax   = flag.Int("batch-max", 0, "max items per /batch request (0 = default 256)")
 
 		incidentDir  = flag.String("incident-dir", "", "directory for the persistent incident log (<dir>/incidents.jsonl, replayed on boot; empty keeps incidents in memory)")
-		snapshotWait = flag.Int("snapshot-wait-ms", 0, "how long POST /snapshot waits for the run's next step boundary (0 = default 2000)")
+		snapshotWait = flag.Int("snapshot-wait-ms", 0, "how long POST /snapshot waits for the run's next progress tick (0 = default 2000)")
 	)
 	flag.Parse()
 

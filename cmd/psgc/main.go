@@ -52,20 +52,6 @@ import (
 	"psgc/internal/source"
 )
 
-// parseCollector maps a -gc flag value to a linkable collector.
-func parseCollector(name string) (psgc.Collector, error) {
-	switch name {
-	case "basic":
-		return psgc.Basic, nil
-	case "forwarding":
-		return psgc.Forwarding, nil
-	case "generational":
-		return psgc.Generational, nil
-	default:
-		return 0, fmt.Errorf("unknown collector %q (want basic, forwarding, or generational)", name)
-	}
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -117,58 +103,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer fault.Install(nil)
 	}
 
-	// applyCheckpointFlags wires -checkpoint/-checkpoint-every/-checkpoint-stop
-	// into run options; ckptErr carries an encode/write failure out of the
-	// callback. Blobs are written via a temp file and rename so a kill
-	// mid-write never leaves a torn checkpoint under the final name.
-	var ckptErr error
-	applyCheckpointFlags := func(opts *psgc.RunOptions) {
-		if *ckptFile == "" {
-			return
-		}
-		every := *ckptEvery
-		if every <= 0 {
-			every = psgc.DefaultProgressEvery
-		}
-		opts.CheckpointEvery = every
-		opts.OnCheckpoint = func(ck *psgc.Checkpoint) bool {
-			blob, err := ck.Encode()
-			if err == nil {
-				tmp := *ckptFile + ".tmp"
-				if err = os.WriteFile(tmp, blob, 0o644); err == nil {
-					err = os.Rename(tmp, *ckptFile)
-				}
-			}
-			if err != nil {
-				ckptErr = err
-				return false
-			}
-			fmt.Fprintf(stderr, "psgc: checkpoint at step %d -> %s\n", ck.Steps, *ckptFile)
-			return !*ckptStop
-		}
-	}
-	// finish prints the outcome shared by fresh and resumed runs; a
-	// checkpoint stop is a pause, not a failure.
-	finish := func(res psgc.Result, err error) int {
-		if ckptErr != nil {
-			return fail(fmt.Errorf("write checkpoint: %w", ckptErr))
-		}
-		if err != nil {
-			if errors.Is(err, psgc.ErrCheckpointed) {
-				fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
-				return 0
-			}
-			return fail(err)
-		}
-		fmt.Fprintln(stdout, res.Value)
-		if *stats {
-			fmt.Fprintf(stderr, "steps:       %d\n", res.Steps)
-			fmt.Fprintf(stderr, "collections: %d\n", res.Collections)
-			fmt.Fprintf(stderr, "puts:        %d\n", res.Stats.Puts)
-		}
-		return 0
-	}
-
+	var (
+		compiled *psgc.Compiled
+		ck       *psgc.Checkpoint
+		col      psgc.Collector
+		pipeline []obs.PhaseSpan
+		decision *policy.Decision
+		srcHash  string
+		traceID  string
+		opts     psgc.RunOptions
+	)
 	if *resumePth != "" {
 		if *expr != "" || fs.NArg() > 0 {
 			return fail(errors.New("-resume takes no source program (the checkpoint carries it)"))
@@ -177,7 +121,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		ck, err := psgc.DecodeCheckpoint(blob)
+		if ck, err = psgc.DecodeCheckpoint(blob); err != nil {
+			return fail(err)
+		}
+		be, err := regions.ParseBackend(*backend)
+		if err != nil {
+			return fail(err)
+		}
+		compiled, col = ck.Compiled(), ck.Collector
+		srcHash, traceID = ck.SourceHash, ck.TraceID
+		opts = psgc.RunOptions{Backend: be}
+	} else {
+		var src string
+		switch {
+		case *expr != "":
+			src = *expr
+		case fs.NArg() == 1:
+			data, err := os.ReadFile(fs.Arg(0))
+			if err != nil {
+				return fail(err)
+			}
+			src = string(data)
+		default:
+			fs.Usage()
+			return 2
+		}
+
+		if *interp {
+			n, err := psgc.Interpret(src)
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintln(stdout, n)
+			return 0
+		}
+
+		var err error
+		if col, err = psgc.ParseCollector(*gcName); err != nil {
+			return fail(err)
+		}
+		pol, err := policy.Parse(*polName)
+		if err != nil {
+			return fail(err)
+		}
+
+		if *show != "" {
+			if err := showForm(stdout, src, col, *show); err != nil {
+				return fail(err)
+			}
+			return 0
+		}
+
+		if compiled, pipeline, err = psgc.CompileTraced(src, col); err != nil {
+			return fail(err)
+		}
+		eng, err := psgc.ParseEngine(*engine)
 		if err != nil {
 			return fail(err)
 		}
@@ -185,125 +183,108 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		opts := psgc.RunOptions{Backend: be, CoCheck: *cocheck,
-			CheckpointMeta: psgc.CheckpointMeta{SourceHash: ck.SourceHash, TraceID: ck.TraceID}}
-		applyCheckpointFlags(&opts)
-		return finish(ck.Resume(opts))
-	}
 
-	var src string
-	switch {
-	case *expr != "":
-		src = *expr
-	case fs.NArg() == 1:
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return fail(err)
-		}
-		src = string(data)
-	default:
-		fs.Usage()
-		return 2
-	}
-
-	if *interp {
-		n, err := psgc.Interpret(src)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(stdout, n)
-		return 0
-	}
-
-	col, err := parseCollector(*gcName)
-	if err != nil {
-		return fail(err)
-	}
-	pol, err := policy.Parse(*polName)
-	if err != nil {
-		return fail(err)
-	}
-
-	if *show != "" {
-		if err := showForm(stdout, src, col, *show); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	tracing := *trace || *traceJSON
-	compiled, pipeline, err := psgc.CompileTraced(src, col)
-	if err != nil {
-		return fail(err)
-	}
-	eng, err := psgc.ParseEngine(*engine)
-	if err != nil {
-		return fail(err)
-	}
-	be, err := regions.ParseBackend(*backend)
-	if err != nil {
-		return fail(err)
-	}
-
-	// -policy adaptive: run a profiled pilot with the fallback collector,
-	// feed its profile to the policy engine, and let the decision pick the
-	// collector and capacity for the run whose value we print. The CLI has
-	// no cross-invocation store, so the pilot run stands in for a warm one.
-	var decision *policy.Decision
-	runCapacity := *capacity
-	if pol == policy.Adaptive {
-		pe := policy.NewEngine(obs.NewProfileStore(4))
-		const hash = "cli"
-		prof := compiled.Profiler()
-		if _, err := compiled.Run(psgc.RunOptions{
-			Capacity: *capacity, FixedCapacity: *fixed, Backend: be, Profiler: prof,
-		}); err != nil {
-			return fail(fmt.Errorf("adaptive pilot run: %w", err))
-		}
-		pe.Observe(hash, col.String(), prof.Profile())
-		d := pe.Decide(hash, col.String(), *capacity)
-		decision = &d
-		runCapacity = d.Capacity
-		if d.Collector != col.String() {
-			if col, err = parseCollector(d.Collector); err != nil {
-				return fail(err)
+		// -policy adaptive: run a profiled pilot with the fallback collector,
+		// feed its profile to the policy engine, and let the decision pick the
+		// collector and capacity for the run whose value we print. The CLI has
+		// no cross-invocation store, so the pilot run stands in for a warm one.
+		runCapacity := *capacity
+		if pol == policy.Adaptive {
+			pe := policy.NewEngine(obs.NewProfileStore(4))
+			const hash = "cli"
+			prof := compiled.Profiler()
+			if _, err := compiled.Run(psgc.RunOptions{
+				Capacity: *capacity, FixedCapacity: *fixed, Backend: be, Profiler: prof,
+			}); err != nil {
+				return fail(fmt.Errorf("adaptive pilot run: %w", err))
 			}
-			if compiled, pipeline, err = psgc.CompileTraced(src, col); err != nil {
-				return fail(err)
+			pe.Observe(hash, col.String(), prof.Profile())
+			d := pe.Decide(hash, col.String(), *capacity)
+			decision = &d
+			runCapacity = d.Capacity
+			if d.Collector != col.String() {
+				if col, err = psgc.ParseCollector(d.Collector); err != nil {
+					return fail(err)
+				}
+				if compiled, pipeline, err = psgc.CompileTraced(src, col); err != nil {
+					return fail(err)
+				}
 			}
 		}
+		srcHash = fmt.Sprintf("%x", sha256.Sum256([]byte(src)))
+		opts = psgc.RunOptions{
+			Capacity:       runCapacity,
+			FixedCapacity:  *fixed,
+			CheckEveryStep: *check,
+			Engine:         eng,
+			Backend:        be,
+			Decision:       decision,
+		}
 	}
 
-	opts := psgc.RunOptions{
-		Capacity:       runCapacity,
-		FixedCapacity:  *fixed,
-		CheckEveryStep: *check,
-		Engine:         eng,
-		Backend:        be,
-		Decision:       decision,
-		CheckpointMeta: psgc.CheckpointMeta{SourceHash: fmt.Sprintf("%x", sha256.Sum256([]byte(src)))},
-	}
-	applyCheckpointFlags(&opts)
+	// Fresh and resumed runs share everything from here on: co-check,
+	// tracing, checkpoints, and the outcome.
 	var divergence *psgc.Divergence
 	if *cocheck {
 		opts.CoCheck = true
 		opts.OnDivergence = func(d psgc.Divergence) { divergence = &d }
 	}
 	var rec *obs.Recorder
-	if tracing {
+	if *trace || *traceJSON {
 		rec = compiled.Recorder()
 		rec.MaxEvents = *maxEvents
 		opts.Recorder = rec
 	}
-	res, err := compiled.Run(opts)
-	if err != nil || ckptErr != nil {
-		if ckptErr != nil {
-			return fail(fmt.Errorf("write checkpoint: %w", ckptErr))
+	// -checkpoint takes a checkpoint at every Progress tick on a multiple of
+	// -checkpoint-every steps; ckptErr carries a capture or write failure out
+	// of the callback. Blobs are written via a temp file and rename so a kill
+	// mid-write never leaves a torn checkpoint under the final name.
+	var ckptErr error
+	if *ckptFile != "" {
+		every := *ckptEvery
+		if every <= 0 {
+			every = psgc.DefaultProgressEvery
 		}
-		if errors.Is(err, psgc.ErrCheckpointed) {
-			fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
-			return 0
+		opts.ProgressEvery = every
+		opts.Progress = func(p psgc.Progress) bool {
+			if p.Steps%every != 0 {
+				return true // a collection tick
+			}
+			snap, err := p.Checkpoint()
+			if err == nil {
+				snap.SourceHash, snap.TraceID = srcHash, traceID
+				var blob []byte
+				if blob, err = snap.Encode(); err == nil {
+					tmp := *ckptFile + ".tmp"
+					if err = os.WriteFile(tmp, blob, 0o644); err == nil {
+						err = os.Rename(tmp, *ckptFile)
+					}
+				}
+			}
+			if err != nil {
+				ckptErr = err
+				return false
+			}
+			fmt.Fprintf(stderr, "psgc: checkpoint at step %d -> %s\n", p.Steps, *ckptFile)
+			return !*ckptStop
 		}
+	}
+	var res psgc.Result
+	var err error
+	if ck != nil {
+		res, err = ck.Resume(opts)
+	} else {
+		res, err = compiled.Run(opts)
+	}
+	if ckptErr != nil {
+		return fail(fmt.Errorf("checkpoint: %w", ckptErr))
+	}
+	if errors.Is(err, psgc.ErrCheckpointed) {
+		// A checkpoint stop is a pause, not a failure.
+		fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
+		return 0
+	}
+	if err != nil {
 		return fail(err)
 	}
 	if divergence != nil {

@@ -187,7 +187,8 @@ func TestCoCheckCleanCLI(t *testing.T) {
 
 // TestCoCheckDivergenceCLI injects synthetic heap corruption under -cocheck:
 // the oracle's (correct) value is still printed, but the divergence goes to
-// stderr and the exit code is 1 so scripts notice.
+// stderr and the exit code is 1 so scripts notice — on a fresh run and on
+// one resumed from a clean checkpoint alike.
 func TestCoCheckDivergenceCLI(t *testing.T) {
 	code, out, errOut := runCLI(t,
 		"-chaos", "machine.corrupt=1", "-cocheck", "-capacity", "40", "-e", buildChainSrc)
@@ -199,6 +200,23 @@ func TestCoCheckDivergenceCLI(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "engine divergence") {
 		t.Errorf("stderr %q does not report the divergence", errOut)
+	}
+
+	blob := filepath.Join(t.TempDir(), "clean.ckpt")
+	code, _, errOut = runCLI(t, "-capacity", "40", "-checkpoint", blob, "-checkpoint-every", "200",
+		"-checkpoint-stop", "-e", buildChainSrc)
+	if code != 0 || !strings.Contains(errOut, "run paused at step 200") {
+		t.Fatalf("clean checkpoint: exit %d, stderr %q", code, errOut)
+	}
+	code, out, errOut = runCLI(t, "-resume", blob, "-cocheck", "-chaos", "machine.corrupt=1")
+	if code != 1 {
+		t.Fatalf("resumed: exit %d (stderr %q), want 1", code, errOut)
+	}
+	if strings.TrimSpace(out) != "465" {
+		t.Errorf("resumed output %q, want the oracle's 465", out)
+	}
+	if !strings.Contains(errOut, "engine divergence") {
+		t.Errorf("resumed stderr %q does not report the divergence", errOut)
 	}
 
 	// The deferred uninstall ran: the next in-process invocation is clean.
@@ -265,6 +283,11 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "steps:       "+wantSteps) {
 		t.Errorf("resumed steps differ: stderr %q, want steps %s", errOut, wantSteps)
+	}
+	for _, line := range []string{"collector:   basic", "reclaimed:", "max live:"} {
+		if !strings.Contains(errOut, line) {
+			t.Errorf("resumed -stats lacks %q: stderr %q", line, errOut)
+		}
 	}
 }
 

@@ -24,13 +24,16 @@ type driverObservations struct {
 // observeDriver runs c four times under base, recording the Progress
 // sequence of a full run, the partial Results of an out-of-fuel run and of
 // a run whose Progress cancels at its fifth call, and the checkpoints a
-// CheckpointEvery run hands to OnCheckpoint.
+// run takes at every Progress tick on a multiple of 113 steps.
 func observeDriver(t *testing.T, c *Compiled, base RunOptions) driverObservations {
 	t.Helper()
 	var obs driverObservations
 	opts := base
 	opts.ProgressEvery = 97
-	opts.Progress = func(p Progress) bool { obs.Progress = append(obs.Progress, p); return true }
+	opts.Progress = func(p Progress) bool {
+		obs.Progress = append(obs.Progress, Progress{Steps: p.Steps, Collections: p.Collections, LiveCells: p.LiveCells})
+		return true
+	}
 	res, err := c.Run(opts)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
@@ -52,8 +55,15 @@ func observeDriver(t *testing.T, c *Compiled, base RunOptions) driverObservation
 	}
 
 	opts = base
-	opts.CheckpointEvery = 113
-	opts.OnCheckpoint = func(ck *Checkpoint) bool {
+	opts.ProgressEvery = 113
+	opts.Progress = func(p Progress) bool {
+		if p.Steps%113 != 0 {
+			return true
+		}
+		ck, err := p.Checkpoint()
+		if err != nil {
+			t.Fatalf("checkpoint at step %d: %v", p.Steps, err)
+		}
 		obs.Checkpoints = append(obs.Checkpoints,
 			fmt.Sprintf("step %d collections %d fuel %d", ck.Steps, ck.Collections, ck.FuelRemaining))
 		return true
@@ -105,6 +115,36 @@ func TestRunDriverAgreesAcrossEngines(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProgressSkipsHaltingStep pins that Progress never fires on the step
+// that halts the machine, so every tick is a state Checkpoint can capture:
+// with the cadence equal to the run's length, no tick is due at all, and a
+// callback that would cancel (or checkpoint) leaves the result untouched.
+func TestProgressSkipsHaltingStep(t *testing.T) {
+	c, err := Compile(workload.AllocHeavySrc(10), Basic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks []int
+	got, err := c.Run(RunOptions{ProgressEvery: ref.Steps, Progress: func(p Progress) bool {
+		ticks = append(ticks, p.Steps)
+		_, ckErr := p.Checkpoint()
+		if ckErr != nil {
+			t.Errorf("checkpoint at step %d: %v", p.Steps, ckErr)
+		}
+		return false
+	}})
+	if err != nil || got != ref {
+		t.Fatalf("run %+v, %v; want %+v with no error", got, err, ref)
+	}
+	if len(ticks) != 0 {
+		t.Errorf("Progress fired at steps %v, want no tick in a %d-step run", ticks, ref.Steps)
 	}
 }
 

@@ -4,7 +4,7 @@ package gate
 // its own trace ID before forwarding, so it can later name the run to the
 // backend's POST /snapshot. When the health loop sees a backend leave the
 // "up" state, the gate pauses that backend's in-flight SSE runs at their
-// next step boundary, carries each checkpoint blob to the run's ring
+// next progress tick, carries each checkpoint blob to the run's ring
 // successor via POST /resume, and splices the resumed stream into the
 // client's connection — the client sees an unbroken event stream whose
 // terminal result is bit-identical to an unmigrated run. The backend's
@@ -30,7 +30,7 @@ import (
 
 const (
 	// snapshotTimeout bounds one POST /snapshot: the backend itself waits
-	// SnapshotWaitMs (default 2s) for a step boundary.
+	// SnapshotWaitMs (default 2s) for a progress tick.
 	snapshotTimeout = 15 * time.Second
 	// migrateWait bounds how long a relay that saw the "checkpointed" frame
 	// waits for the snapshot blob before declaring the migration failed.

@@ -12,10 +12,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"psgc"
 	"psgc/internal/obs"
-	"psgc/internal/policy"
-	"psgc/internal/regions"
 )
 
 // BatchRequest is the POST /batch payload: an ordered list of run items.
@@ -76,39 +73,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				errorBody{Error: "stream is not supported inside a batch", TraceID: itemID})
 			continue
 		}
-		col, err := parseCollector(item.Collector)
+		spec, err := s.resolve(item)
 		if err != nil {
 			results[i] = batchItemError(http.StatusBadRequest,
 				errorBody{Error: err.Error(), TraceID: itemID})
 			continue
 		}
-		if item.Engine == "" {
-			item.Engine = s.cfg.DefaultEngine
-		}
-		if _, err := psgc.ParseEngine(item.Engine); err != nil {
-			results[i] = batchItemError(http.StatusBadRequest,
-				errorBody{Error: err.Error(), TraceID: itemID})
-			continue
-		}
-		if item.Backend == "" {
-			item.Backend = s.cfg.DefaultBackend
-		}
-		if _, err := regions.ParseBackend(item.Backend); err != nil {
-			results[i] = batchItemError(http.StatusBadRequest,
-				errorBody{Error: err.Error(), TraceID: itemID})
-			continue
-		}
-		if item.Policy == "" {
-			item.Policy = s.cfg.DefaultPolicy
-		}
-		if _, err := policy.Parse(item.Policy); err != nil {
-			results[i] = batchItemError(http.StatusBadRequest,
-				errorBody{Error: err.Error(), TraceID: itemID})
-			continue
-		}
-		item := item // each job closes over its own copy
 		j := &job{
-			do:      func() *response { return s.doRun(item, col, item.Trace, itemID, nil, nil) },
+			do:      func() *response { return s.doRun(spec, itemID, nil) },
 			done:    make(chan *response, 1),
 			traceID: itemID,
 		}

@@ -11,6 +11,7 @@ package service
 // which serves this node's own entries to the rest of the fleet.
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -111,7 +112,7 @@ func (s *Server) handleCacheExport(w http.ResponseWriter, r *http.Request) {
 			body: errorBody{Error: "use GET"}})
 		return
 	}
-	col, err := parseCollector(r.URL.Query().Get("collector"))
+	col, err := psgc.ParseCollector(cmp.Or(r.URL.Query().Get("collector"), psgc.Basic.String()))
 	if err != nil {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: err.Error()}})

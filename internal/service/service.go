@@ -31,6 +31,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -136,7 +137,7 @@ type Config struct {
 	// survive restarts.
 	IncidentDir string
 	// SnapshotWaitMs bounds how long POST /snapshot waits for the paused
-	// run to reach a step boundary and deliver its checkpoint
+	// run to reach its next progress tick and deliver its checkpoint
 	// (default 2000).
 	SnapshotWaitMs int
 }
@@ -228,12 +229,12 @@ type Server struct {
 	peer atomic.Pointer[peerClient]
 
 	// liveMu guards the checkpoint/resume state: live maps the trace ID of
-	// each in-flight streaming run to the Checkpointer that can pause it
-	// (POST /snapshot), and resumed records which snapshots (trace@step)
+	// each in-flight streaming run to its stream, through which POST
+	// /snapshot pauses it, and resumed records which snapshots (trace@step)
 	// have already been resumed so a duplicate resume is rejected instead
 	// of running the work twice.
 	liveMu  sync.Mutex
-	live    map[string]*psgc.Checkpointer
+	live    map[string]*stream
 	resumed map[string]bool
 
 	// mu guards jobs against Shutdown closing the channel while a
@@ -285,7 +286,7 @@ func New(cfg Config) *Server {
 		metrics: &Metrics{},
 		guard:   newGuardrails(cfg.CoCheckSample, incidents),
 		start:   time.Now(),
-		live:    map[string]*psgc.Checkpointer{},
+		live:    map[string]*stream{},
 		resumed: map[string]bool{},
 		jobs:    make(chan *job, cfg.QueueDepth),
 	}
@@ -612,19 +613,6 @@ type errorBody struct {
 // Handlers
 // ---------------------------------------------------------------------------
 
-func parseCollector(name string) (psgc.Collector, error) {
-	switch name {
-	case "", "basic":
-		return psgc.Basic, nil
-	case "forwarding":
-		return psgc.Forwarding, nil
-	case "generational":
-		return psgc.Generational, nil
-	default:
-		return 0, fmt.Errorf("unknown collector %q (want basic, forwarding, or generational)", name)
-	}
-}
-
 // traceRequest assigns the request a trace ID and exposes it in the
 // response headers before any body is written. A well-formed incoming
 // X-Trace-Id is honored — the gate stamps streams with its own IDs so a
@@ -762,7 +750,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req, traceID) {
 		return
 	}
-	col, err := parseCollector(req.Collector)
+	col, err := psgc.ParseCollector(cmp.Or(req.Collector, psgc.Basic.String()))
 	if err != nil {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: err.Error(), TraceID: traceID}})
@@ -802,65 +790,68 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req, traceID) {
 		return
 	}
-	col, err := parseCollector(req.Collector)
+	q := r.URL.Query()
+	req.Engine = cmp.Or(q.Get("engine"), req.Engine)
+	req.Backend = cmp.Or(q.Get("backend"), req.Backend)
+	req.Policy = cmp.Or(q.Get("policy"), req.Policy)
+	req.CoCheck = flagged(r, "cocheck", req.CoCheck)
+	req.Trace = flagged(r, "trace", req.Trace)
+	req.Stream = flagged(r, "stream", req.Stream)
+	spec, err := s.resolve(req)
 	if err != nil {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: err.Error(), TraceID: traceID}})
 		return
 	}
-	if v := r.URL.Query().Get("engine"); v != "" {
-		req.Engine = v
-	}
-	if req.Engine == "" {
-		req.Engine = s.cfg.DefaultEngine
-	}
-	if _, err := psgc.ParseEngine(req.Engine); err != nil {
-		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: err.Error(), TraceID: traceID}})
-		return
-	}
-	if v := r.URL.Query().Get("backend"); v != "" {
-		req.Backend = v
-	}
-	if req.Backend == "" {
-		req.Backend = s.cfg.DefaultBackend
-	}
-	if _, err := regions.ParseBackend(req.Backend); err != nil {
-		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: err.Error(), TraceID: traceID}})
-		return
-	}
-	if v := r.URL.Query().Get("policy"); v != "" {
-		req.Policy = v
-	}
-	if req.Policy == "" {
-		req.Policy = s.cfg.DefaultPolicy
-	}
-	if _, err := policy.Parse(req.Policy); err != nil {
-		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: err.Error(), TraceID: traceID}})
-		return
-	}
-	req.CoCheck = flagged(r, "cocheck", req.CoCheck)
-	trace := flagged(r, "trace", req.Trace)
-	stream := flagged(r, "stream", req.Stream)
 	// Graceful degradation: when the queue is nearly full, the expensive
 	// observability tier (traced and streamed runs) is shed first so plain
 	// runs keep landing. 429 + Retry-After, like a full queue.
-	if (trace || stream) && s.overloaded() {
+	if (spec.Trace || spec.Stream) && s.overloaded() {
 		s.metrics.Shed.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeResponse(w, &response{status: http.StatusTooManyRequests,
 			body: errorBody{Error: "degraded under load: trace/stream requests are shed, retry later or drop the trace", TraceID: traceID}})
 		return
 	}
-	if stream {
-		s.streamRun(w, r, req, col, trace, traceID)
+	if spec.Stream {
+		s.streamJob(w, r, traceID, func(st *stream) *response {
+			return s.doRun(spec, traceID, st)
+		})
 		return
 	}
 	s.submit(w, r, traceID, func() *response {
-		return s.doRun(req, col, trace, traceID, nil, nil)
+		return s.doRun(spec, traceID, nil)
 	})
+}
+
+// runSpec is a RunRequest with the server's defaults applied and its
+// collector, engine, backend and policy names parsed.
+type runSpec struct {
+	RunRequest
+	col     psgc.Collector
+	engine  psgc.Engine
+	backend regions.Backend
+	policy  string
+}
+
+// resolve turns a run request into the runSpec doRun executes: an empty
+// collector is basic, and an empty engine, backend or policy is the
+// server's default. /run calls it after applying its query overrides; each
+// /batch item calls it on its own.
+func (s *Server) resolve(req RunRequest) (runSpec, error) {
+	spec := runSpec{RunRequest: req}
+	var err error
+	if spec.col, err = psgc.ParseCollector(cmp.Or(req.Collector, psgc.Basic.String())); err != nil {
+		return spec, err
+	}
+	if spec.engine, err = psgc.ParseEngine(cmp.Or(req.Engine, s.cfg.DefaultEngine)); err != nil {
+		return spec, err
+	}
+	if spec.backend, err = regions.ParseBackend(cmp.Or(req.Backend, s.cfg.DefaultBackend)); err != nil {
+		return spec, err
+	}
+	spec.policy, err = policy.Parse(cmp.Or(req.Policy, s.cfg.DefaultPolicy))
+	return spec, err
 }
 
 // overloaded reports whether queue utilization has reached the shed
@@ -872,37 +863,25 @@ func (s *Server) overloaded() bool {
 	return float64(s.metrics.QueueDepth.Load()) >= s.cfg.ShedThreshold*float64(s.cfg.QueueDepth)
 }
 
-// doRun is the shared run path behind the JSON and SSE variants of /run:
-// compile (or fetch), execute with the request's fuel budget, record
-// metrics, and shape the response. progress, if non-nil, receives
-// execution snapshots and can cancel the run by returning false. cp, if
-// non-nil, lets POST /snapshot pause this run at a step boundary; the run
-// then answers with a CheckpointedResponse instead of a result.
-func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID string, progress func(psgc.Progress) bool, cp *psgc.Checkpointer) *response {
-	// Validated in handleRun; re-parsed here so doRun stands alone.
-	engine, err := psgc.ParseEngine(req.Engine)
-	if err != nil {
-		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
-	backend, err := regions.ParseBackend(req.Backend)
-	if err != nil {
-		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
-	polName, err := policy.Parse(req.Policy)
-	if err != nil {
-		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
-	hash := SourceHash(req.Source)
+// doRun is the shared run path behind the JSON and SSE variants of /run
+// and /batch: compile (or fetch), execute with the request's fuel budget,
+// record metrics, and shape the response. st, if non-nil, is the SSE stream
+// the run reports progress to and that POST /snapshot can pause it
+// through; a paused run answers with a CheckpointedResponse instead of a
+// result.
+func (s *Server) doRun(spec runSpec, traceID string, st *stream) *response {
+	hash := SourceHash(spec.Source)
+	col := spec.col
 	// The collector is baked in at link time, so the adaptive decision
 	// must land before the compile: the engine turns the hash's
 	// accumulated profile into a collector and capacity, falling back to
 	// the request's choices for a cold hash.
 	capacity := s.cfg.Capacity
-	if req.Capacity != nil {
-		capacity = *req.Capacity
+	if spec.Capacity != nil {
+		capacity = *spec.Capacity
 	}
 	var decision *policy.Decision
-	if polName == policy.Adaptive {
+	if spec.policy == policy.Adaptive {
 		d := s.adaptive.Decide(hash, col.String(), capacity)
 		s.metrics.PolicyDecisions.Add(1)
 		if d.Runs == 0 {
@@ -911,39 +890,33 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 		if d.Flipped {
 			s.metrics.PolicyFlips.Add(1)
 		}
-		if dc, err := parseCollector(d.Collector); err == nil {
+		if dc, err := psgc.ParseCollector(d.Collector); err == nil {
 			col = dc
 			s.metrics.PolicyChosen[dc].Add(1)
 		}
 		capacity = d.Capacity
 		decision = &d
 	}
-	c, spans, hit, err := s.compiled(req.Source, col)
+	c, spans, hit, err := s.compiled(spec.Source, col)
 	if err != nil {
 		return &response{status: compileStatus(err), body: errorBody{Error: err.Error(), TraceID: traceID}}
 	}
 	x := &execution{
-		c: c, col: col, engine: engine, hash: hash, traceID: traceID,
-		policy: polName, cached: hit, spans: spans, coCheck: req.CoCheck,
+		c: c, col: col, engine: spec.engine, hash: hash, traceID: traceID,
+		policy: spec.policy, cached: hit, spans: spans, coCheck: spec.CoCheck, stream: st,
 		opts: psgc.RunOptions{
 			Capacity:      capacity,
-			FixedCapacity: req.Fixed,
-			Backend:       backend,
+			FixedCapacity: spec.Fixed,
+			Backend:       spec.backend,
 			Decision:      decision,
-			Fuel:          s.fuelBudget(req.Fuel, req.DeadlineMs),
-			Progress:      progress,
-			ProgressEvery: req.ProgressSteps,
-			Checkpointer:  cp,
-			CheckpointMeta: psgc.CheckpointMeta{
-				SourceHash: hash,
-				TraceID:    traceID,
-			},
+			Fuel:          s.fuelBudget(spec.Fuel, spec.DeadlineMs),
+			ProgressEvery: spec.ProgressSteps,
 		},
 	}
-	if trace {
+	if spec.Trace {
 		rec := c.Recorder()
-		if req.MaxEvents > 0 {
-			rec.MaxEvents = req.MaxEvents
+		if spec.MaxEvents > 0 {
+			rec.MaxEvents = spec.MaxEvents
 		}
 		x.opts.Recorder = rec
 	}
@@ -951,9 +924,9 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 }
 
 // execution is one run as doRun or doResume prepared it: its options carry
-// the request's fuel, Progress callback and cadence, and, for an adaptive
-// run, the Decision. execute finishes the options, runs it, and classifies
-// the outcome.
+// the request's fuel, progress cadence and, for an adaptive run, the
+// Decision. execute finishes the options, runs it, and classifies the
+// outcome.
 type execution struct {
 	c *psgc.Compiled
 	// from is the checkpoint a resumed run continues; nil for a fresh run.
@@ -965,6 +938,8 @@ type execution struct {
 	opts    psgc.RunOptions
 	// coCheck is the request's demand for a co-checked run.
 	coCheck bool
+	// stream is the SSE stream of a streamed run; nil otherwise.
+	stream *stream
 	// The response fields only a fresh run fills.
 	policy string
 	cached bool
@@ -1005,23 +980,42 @@ func (s *Server) execute(x *execution) *response {
 	// completed profile spans the whole logical run.
 	prof := x.c.Profiler()
 	opts.Profiler = prof
-	// The watchdog rides the Progress callback: the machine is cut at the
-	// first tick past the wall-clock budget and the run is answered as a
-	// budgeted partial result instead of a hung worker.
+	// One Progress callback serves the watchdog and the stream. A pending
+	// POST /snapshot is taken first: the run checkpoints at this tick and
+	// stops. Then the watchdog cuts a run past its wall-clock budget, which
+	// is answered as a budgeted partial result instead of a hung worker.
+	// Then a vanished client cancels the run; otherwise the tick is
+	// streamed, never blocking the machine on a slow client.
 	stalled := false
+	var deadline time.Time
 	if s.cfg.WatchdogMs > 0 {
-		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
+		deadline = time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
 		if opts.ProgressEvery <= 0 {
 			opts.ProgressEvery = watchdogProgressEvery
 		}
-		inner := opts.Progress
+	}
+	if st := x.stream; st != nil || s.cfg.WatchdogMs > 0 {
 		opts.Progress = func(p psgc.Progress) bool {
-			if time.Now().After(deadline) {
+			if st != nil && st.pause.Load() {
+				if ck, err := p.Checkpoint(); err == nil {
+					ck.SourceHash, ck.TraceID = x.hash, x.traceID
+					st.ckpts <- ck // buffered; the run stops here, so it is the only send
+					return false
+				}
+			}
+			if s.cfg.WatchdogMs > 0 && time.Now().After(deadline) {
 				stalled = true
 				return false
 			}
-			if inner != nil {
-				return inner(p)
+			if st == nil {
+				return true
+			}
+			if st.gone.Load() {
+				return false
+			}
+			select {
+			case st.events <- p:
+			default:
 			}
 			return true
 		}
@@ -1080,10 +1074,10 @@ func (s *Server) execute(x *execution) *response {
 				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID}}
 		}
 		if errors.Is(err, psgc.ErrCheckpointed) {
-			// POST /snapshot paused this run at a step boundary; the
-			// checkpoint itself is delivered through the Checkpointer. The
-			// stream answers with a "checkpointed" event so relays know the
-			// run will continue elsewhere.
+			// POST /snapshot paused this run at a progress tick; the
+			// checkpoint itself went to the snapshot handler through the
+			// stream. The stream answers with a "checkpointed" event so
+			// relays know the run will continue elsewhere.
 			return &response{status: http.StatusOK, body: CheckpointedResponse{
 				Checkpointed: true,
 				SourceHash:   x.hash,
@@ -1136,50 +1130,47 @@ const watchdogProgressEvery = 2_000
 // that disconnected before the response (no stdlib constant exists).
 const statusClientClosedRequest = 499
 
-// streamRun serves one /run request over Server-Sent Events: "progress"
-// events while the machine executes, then a final "result" (or "error")
-// event carrying the same JSON body the non-streaming endpoint returns.
-// Queue rejection and shutdown still answer with plain JSON status codes —
-// the stream only starts once the job is accepted. While the run is live
-// it is registered under its trace ID so POST /snapshot can pause it; a
-// paused run ends the stream with a "checkpointed" event instead of a
-// result.
-func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, req RunRequest, col psgc.Collector, trace bool, traceID string) {
-	s.metrics.StreamRequests.Add(1)
-	cp := psgc.NewCheckpointer()
-	s.registerLive(traceID, cp)
-	defer s.unregisterLive(traceID)
-	s.streamJob(w, r, traceID, func(progress func(psgc.Progress) bool) *response {
-		return s.doRun(req, col, trace, traceID, progress, cp)
-	})
+// stream is the live side of one SSE run: the progress events pumped to
+// the client, whether the client has gone, and the POST /snapshot
+// handshake — pause asks the run to checkpoint at its next progress tick,
+// and the checkpoint arrives on ckpts.
+type stream struct {
+	events chan psgc.Progress
+	gone   atomic.Bool
+	pause  atomic.Bool
+	ckpts  chan *psgc.Checkpoint
 }
 
-// streamJob runs one pool job over SSE, pumping "progress" events and the
-// final "result"/"error"/"checkpointed" event. Shared by /run?stream=1 and
-// /resume?stream=1. It reports whether the job was admitted to the pool
-// (a rejected job has already been answered with plain JSON).
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, traceID string, run func(progress func(psgc.Progress) bool) *response) bool {
+// newStream buffers 16 progress events so a burst of collection ticks
+// reaches a slow client without blocking the machine (ticks past that are
+// dropped), and one checkpoint, the only one a run ever sends.
+func newStream() *stream {
+	return &stream{events: make(chan psgc.Progress, 16), ckpts: make(chan *psgc.Checkpoint, 1)}
+}
+
+// streamJob serves one pool job over Server-Sent Events: "progress" events
+// while the machine executes, then a final "result", "error" or
+// "checkpointed" event carrying the same JSON body the non-streaming
+// endpoint returns. Shared by /run?stream=1 and /resume?stream=1. Queue
+// rejection and shutdown still answer with plain JSON status codes — the
+// stream only starts once the job is accepted. While the run is live it is
+// registered under its trace ID so POST /snapshot can pause it. streamJob
+// reports whether the job was admitted to the pool.
+func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, traceID string, run func(*stream) *response) bool {
+	s.metrics.StreamRequests.Add(1)
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.writeResponse(w, &response{status: http.StatusInternalServerError,
 			body: errorBody{Error: "streaming unsupported by this connection", TraceID: traceID}})
 		return false
 	}
-	var cancelled atomic.Bool
-	events := make(chan psgc.Progress, 16)
+	st := newStream()
+	s.registerLive(traceID, st)
+	defer s.unregisterLive(traceID)
 	j := &job{traceID: traceID, done: make(chan *response, 1)}
 	j.do = func() *response {
-		defer close(events)
-		return run(func(ev psgc.Progress) bool {
-			if cancelled.Load() {
-				return false
-			}
-			select {
-			case events <- ev:
-			default: // never block the machine on a slow client
-			}
-			return true
-		})
+		defer close(st.events)
+		return run(st)
 	}
 	if !s.enqueue(w, j) {
 		return false
@@ -1190,6 +1181,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, traceID strin
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	events := st.events
 	for {
 		select {
 		case ev, ok := <-events:
@@ -1211,7 +1203,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, traceID strin
 		case <-r.Context().Done():
 			// Client gone: tell the machine to stop at its next progress
 			// tick; the worker finishes into the buffered done channel.
-			cancelled.Store(true)
+			st.gone.Store(true)
 			return true
 		}
 	}

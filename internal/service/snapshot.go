@@ -1,7 +1,7 @@
 package service
 
 // Checkpoint/resume over HTTP: POST /snapshot pauses a live streaming run
-// at its next step boundary and returns the serialized checkpoint blob;
+// at its next progress tick and returns the serialized checkpoint blob;
 // POST /resume re-certifies a blob and continues the run — on this node,
 // on any backend. Together with the gate's migration loop this is how an
 // in-flight run moves off a degrading backend without losing a step.
@@ -26,9 +26,9 @@ import (
 )
 
 // registerLive makes a streaming run snapshotable under its trace ID.
-func (s *Server) registerLive(traceID string, cp *psgc.Checkpointer) {
+func (s *Server) registerLive(traceID string, st *stream) {
 	s.liveMu.Lock()
-	s.live[traceID] = cp
+	s.live[traceID] = st
 	s.liveMu.Unlock()
 }
 
@@ -38,11 +38,11 @@ func (s *Server) unregisterLive(traceID string) {
 	s.liveMu.Unlock()
 }
 
-func (s *Server) lookupLive(traceID string) (*psgc.Checkpointer, bool) {
+func (s *Server) lookupLive(traceID string) (*stream, bool) {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
-	cp, ok := s.live[traceID]
-	return cp, ok
+	st, ok := s.live[traceID]
+	return st, ok
 }
 
 // reserveResume claims a snapshot identity (trace@step) for resumption.
@@ -67,7 +67,7 @@ func (s *Server) releaseResume(key string) {
 }
 
 // SnapshotRequest asks POST /snapshot to pause the streaming run with the
-// given trace ID at its next step boundary.
+// given trace ID at its next progress tick.
 type SnapshotRequest struct {
 	TraceID string `json:"trace_id"`
 }
@@ -120,9 +120,9 @@ type ResumeRequest struct {
 }
 
 // handleSnapshot pauses a live streaming run and returns its checkpoint.
-// Snapshots are legal only at step boundaries — the machine delivers the
-// checkpoint at its next boundary, never mid-scavenge — so the handler
-// waits up to SnapshotWaitMs for the run to reach one.
+// The run checkpoints at its next progress tick — a step boundary, never
+// mid-scavenge — which comes every progress_steps steps and at every
+// collection, so the handler waits up to SnapshotWaitMs for it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	traceID := s.traceRequest(w, r)
 	if !s.requirePost(w, r) {
@@ -137,16 +137,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			body: errorBody{Error: "missing trace_id", TraceID: traceID}})
 		return
 	}
-	cp, ok := s.lookupLive(req.TraceID)
+	st, ok := s.lookupLive(req.TraceID)
 	if !ok {
 		s.metrics.SnapshotMisses.Add(1)
 		s.writeResponse(w, &response{status: http.StatusNotFound,
 			body: errorBody{Error: fmt.Sprintf("no live streaming run with trace id %q", req.TraceID), TraceID: traceID}})
 		return
 	}
-	cp.Request()
+	st.pause.Store(true)
 	select {
-	case ck := <-cp.Checkpoints():
+	case ck := <-st.ckpts:
 		blob, err := ck.Encode()
 		if err != nil {
 			s.writeResponse(w, &response{status: http.StatusInternalServerError,
@@ -170,11 +170,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			Blob:       blob,
 		}})
 	case <-time.After(time.Duration(s.cfg.SnapshotWaitMs) * time.Millisecond):
-		// The run halted (or errored) before reaching another boundary;
-		// its stream already carries the final answer.
+		// The run halted (or errored) before reaching another progress
+		// tick; its stream already carries the final answer. Withdraw the
+		// request so a run still going does not pause later, at a tick
+		// whose checkpoint nobody would receive.
+		st.pause.Store(false)
 		s.metrics.SnapshotMisses.Add(1)
 		s.writeResponse(w, &response{status: http.StatusGone,
-			body: errorBody{Error: fmt.Sprintf("run %q finished or reached no step boundary within %dms", req.TraceID, s.cfg.SnapshotWaitMs), TraceID: traceID}})
+			body: errorBody{Error: fmt.Sprintf("run %q finished or reached no progress tick within %dms", req.TraceID, s.cfg.SnapshotWaitMs), TraceID: traceID}})
 	case <-r.Context().Done():
 	}
 }
@@ -200,7 +203,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	req.CoCheck = flagged(r, "cocheck", req.CoCheck)
-	stream := flagged(r, "stream", req.Stream)
+	streamed := flagged(r, "stream", req.Stream)
 	if len(req.Blob) == 0 {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: "missing blob", TraceID: reqTrace}})
@@ -236,7 +239,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 			body: errorBody{Error: fmt.Sprintf("snapshot %s already resumed", key), TraceID: runTrace}})
 		return
 	}
-	if stream {
+	if streamed {
 		if s.overloaded() {
 			s.releaseResume(key)
 			s.metrics.Shed.Add(1)
@@ -245,19 +248,15 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 				body: errorBody{Error: "degraded under load: stream requests are shed, retry later", TraceID: runTrace}})
 			return
 		}
-		s.metrics.StreamRequests.Add(1)
-		cp := psgc.NewCheckpointer()
-		s.registerLive(runTrace, cp)
-		defer s.unregisterLive(runTrace)
-		if !s.streamJob(w, r, runTrace, func(progress func(psgc.Progress) bool) *response {
-			return s.doResume(ck, req, runTrace, progress, cp)
+		if !s.streamJob(w, r, runTrace, func(st *stream) *response {
+			return s.doResume(ck, req, runTrace, st)
 		}) {
 			s.releaseResume(key)
 		}
 		return
 	}
 	j := &job{done: make(chan *response, 1), traceID: runTrace}
-	j.do = func() *response { return s.doResume(ck, req, runTrace, nil, nil) }
+	j.do = func() *response { return s.doResume(ck, req, runTrace, nil) }
 	if !s.enqueue(w, j) {
 		s.releaseResume(key)
 		return
@@ -270,8 +269,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 // doResume executes a decoded (already re-certified) checkpoint on a pool
-// worker through doRun's execute path.
-func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string, progress func(psgc.Progress) bool, cp *psgc.Checkpointer) *response {
+// worker through doRun's execute path; st is its SSE stream, if any.
+func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string, st *stream) *response {
 	backend := ck.Backend
 	if req.Backend != "" {
 		b, err := regions.ParseBackend(req.Backend)
@@ -282,16 +281,10 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 	}
 	x := &execution{
 		c: ck.Compiled(), from: ck, col: ck.Collector, engine: ck.Engine, hash: ck.SourceHash, traceID: traceID,
-		coCheck: req.CoCheck,
+		coCheck: req.CoCheck, stream: st,
 		opts: psgc.RunOptions{
 			Backend:       backend,
-			Progress:      progress,
 			ProgressEvery: req.ProgressSteps,
-			Checkpointer:  cp,
-			CheckpointMeta: psgc.CheckpointMeta{
-				SourceHash: ck.SourceHash,
-				TraceID:    traceID,
-			},
 		},
 	}
 	// With Fuel zero the run inherits the checkpoint's remaining fuel — an

@@ -125,25 +125,26 @@ func makeCheckpointBlob(t *testing.T, traceID string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := psgc.NewCheckpointer()
-	requested := false
+	var ck *psgc.Checkpoint
+	var ckErr error
 	_, err = c.Run(psgc.RunOptions{
-		Capacity:       32,
-		Checkpointer:   cp,
-		CheckpointMeta: psgc.CheckpointMeta{SourceHash: SourceHash(allocHeavy), TraceID: traceID},
-		ProgressEvery:  50,
+		Capacity:      32,
+		ProgressEvery: 50,
 		Progress: func(p psgc.Progress) bool {
-			if !requested && p.Steps >= ref.Steps/2 {
-				requested = true
-				cp.Request()
+			if p.Steps < ref.Steps/2 {
+				return true
 			}
-			return true
+			ck, ckErr = p.Checkpoint()
+			return false
 		},
 	})
+	if ckErr != nil {
+		t.Fatal(ckErr)
+	}
 	if !errors.Is(err, psgc.ErrCheckpointed) {
 		t.Fatalf("run did not pause at the checkpoint: %v", err)
 	}
-	ck := <-cp.Checkpoints()
+	ck.SourceHash, ck.TraceID = SourceHash(allocHeavy), traceID
 	blob, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +153,7 @@ func makeCheckpointBlob(t *testing.T, traceID string) []byte {
 }
 
 // TestSnapshotResumeMigration is the acceptance scenario: a streaming run
-// on the arena backend is paused by POST /snapshot at a step boundary, its
+// on the arena backend is paused by POST /snapshot at a progress tick, its
 // stream ends with a "checkpointed" event, and POST /resume continues it
 // on the map backend with a bit-identical result — same value, same
 // machine-step and GC counters as the uninterrupted run.
@@ -183,7 +184,7 @@ func TestSnapshotResumeMigration(t *testing.T) {
 		t.Fatalf("first stream event %q (ok=%v), want progress", ev.name, ok)
 	}
 
-	// Pause it at the next step boundary.
+	// Pause it at the next progress tick.
 	sresp, sbody := postJSON(t, ts.URL+"/snapshot", SnapshotRequest{TraceID: trace})
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d (%s)", sresp.StatusCode, sbody)
@@ -244,8 +245,51 @@ func TestSnapshotResumeMigration(t *testing.T) {
 	}
 }
 
+// TestSnapshotWithoutProgressSteps pauses a stream that set no
+// progress_steps: its progress ticks are its collections (and every 50,000
+// steps), and POST /snapshot lands on the next one. The blob resumes to the
+// uninterrupted run's exact value and counters.
+func TestSnapshotWithoutProgressSteps(t *testing.T) {
+	stallSteps(t, nil)
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	req := RunRequest{
+		CompileRequest: CompileRequest{Source: allocHeavy, Collector: "basic"},
+		Capacity:       intp(16),
+	}
+	resp, body := postJSON(t, ts.URL+"/run", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reference run: %d (%s)", resp.StatusCode, body)
+	}
+	ref := decode[RunResponse](t, body)
+
+	stream, trace := startStream(t, ts, req)
+	defer stream.Body.Close()
+	sc := sseScanner(stream.Body)
+	if ev, ok := nextSSE(sc); !ok || ev.name != "progress" {
+		t.Fatalf("first stream event %q (ok=%v), want progress", ev.name, ok)
+	}
+	sresp, sbody := postJSON(t, ts.URL+"/snapshot", SnapshotRequest{TraceID: trace})
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %d (%s)", sresp.StatusCode, sbody)
+	}
+	snap := decode[SnapshotResponse](t, sbody)
+
+	rresp, rbody := postJSON(t, ts.URL+"/resume", ResumeRequest{Blob: snap.Blob})
+	if rresp.StatusCode != http.StatusOK {
+		t.Fatalf("resume: %d (%s)", rresp.StatusCode, rbody)
+	}
+	rr := decode[RunResponse](t, rbody)
+	if rr.Value != ref.Value || rr.Stats != ref.Stats {
+		t.Errorf("resumed run diverged:\n  resumed       %d %+v\n  uninterrupted %d %+v",
+			rr.Value, rr.Stats, ref.Value, ref.Stats)
+	}
+	if !rr.Resumed || rr.ResumedFromStep != snap.Steps {
+		t.Errorf("resumed/from = %v/%d, want true/%d", rr.Resumed, rr.ResumedFromStep, snap.Steps)
+	}
+}
+
 // TestSnapshotMisses pins the miss paths: an unknown trace is 404, a
-// registered run that never reaches another step boundary is 410 after
+// registered run that never reaches another progress tick is 410 after
 // SnapshotWaitMs, and a request without a trace ID is 400.
 func TestSnapshotMisses(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, SnapshotWaitMs: 50})
@@ -255,7 +299,7 @@ func TestSnapshotMisses(t *testing.T) {
 		t.Fatalf("unknown trace: %d (%s), want 404", resp.StatusCode, body)
 	}
 
-	s.registerLive("stalled-run", psgc.NewCheckpointer())
+	s.registerLive("stalled-run", newStream())
 	defer s.unregisterLive("stalled-run")
 	resp, body = postJSON(t, ts.URL+"/snapshot", SnapshotRequest{TraceID: "stalled-run"})
 	if resp.StatusCode != http.StatusGone {

@@ -174,13 +174,6 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	}
 	l := v.NewLayout()
 	opts := translate.Options{Dialect: col.Dialect(), GC: v.GC, Minor: v.Minor, Major: v.Major}
-	entryNames := map[regions.Addr]string{}
-	if col == Generational {
-		entryNames[v.Minor.Addr] = "minor"
-		entryNames[v.Major.Addr] = "major"
-	} else {
-		entryNames[v.GC.Addr] = "gc"
-	}
 	end = pl.Phase("translate")
 	gp, err := translate.Translate(lp, l, opts, &supply)
 	end()
@@ -194,11 +187,27 @@ func compileProgram(p source.Program, col Collector, pl *obs.Pipeline) (*Compile
 	if err != nil {
 		return nil, fmt.Errorf("psgc: internal error: compiled program does not typecheck: %w", err)
 	}
+	c := link(col, v, elab)
+	c.Source, c.Clos = p, lp
+	return c, nil
+}
+
+// link wraps a program elaborated on top of the verified collector v: the
+// collector's entry points and certified prefix, which seed the observers,
+// and the program lowered onto the collector's own lowered code.
+func link(col Collector, v *collector.Verified, elab gclang.Program) *Compiled {
+	entryNames := map[regions.Addr]string{}
+	if col == Generational {
+		entryNames[v.Minor.Addr] = "minor"
+		entryNames[v.Major.Addr] = "major"
+	} else {
+		entryNames[v.GC.Addr] = "gc"
+	}
 	return &Compiled{
-		Collector: col, Prog: elab, Source: p, Clos: lp,
+		Collector: col, Prog: elab,
 		entries: v.Entries, entryNames: entryNames, collectorFuns: len(v.Funs),
 		code: gclang.LowerOnto(v.Code, elab),
-	}, nil
+	}
 }
 
 // compileProgramCold is the uncached compile path: it rebuilds and
@@ -332,8 +341,9 @@ type RunOptions struct {
 	// compile another) and adopts its capacity when Capacity is zero.
 	Decision *policy.Decision
 	// Progress, if non-nil, is called every ProgressEvery steps and at
-	// every collector entry. Returning false cancels the run: Run returns
-	// ErrCanceled with the partial Result.
+	// every collector entry, but never after the halting step. Returning
+	// false cancels the run: Run returns ErrCanceled with the partial
+	// Result, or ErrCheckpointed if the callback took Progress.Checkpoint.
 	Progress func(Progress) bool
 	// ProgressEvery is the Progress cadence in machine steps
 	// (default DefaultProgressEvery).
@@ -363,32 +373,19 @@ type RunOptions struct {
 	// sequence; the wrapper must preserve observable store behavior. The
 	// co-checker's oracle is never wrapped.
 	WrapStore func(regions.Store[gclang.Cell]) regions.Store[gclang.Cell]
-	// CheckpointEvery, if > 0, captures a checkpoint every CheckpointEvery
-	// machine steps and hands it to OnCheckpoint (which is then required).
-	// Checkpoints are only ever taken at step boundaries — never
-	// mid-transition, so never mid-scavenge: a collection in flight simply
-	// finishes its current step like any other.
-	CheckpointEvery int
-	// OnCheckpoint receives periodic checkpoints (see CheckpointEvery).
-	// Returning false stops the run: Run returns ErrCheckpointed with the
-	// partial Result. Returning true continues it.
-	OnCheckpoint func(*Checkpoint) bool
-	// Checkpointer, if non-nil, lets another goroutine pause this run on
-	// demand: after Checkpointer.Request the run captures a checkpoint at
-	// its next step boundary, delivers it on Checkpointer.Checkpoints, and
-	// stops with ErrCheckpointed.
-	Checkpointer *Checkpointer
-	// CheckpointMeta is stamped into every checkpoint captured from this
-	// run (it does not affect execution).
-	CheckpointMeta CheckpointMeta
 }
 
 // Progress is a point-in-time execution snapshot delivered to
-// RunOptions.Progress (and streamed over SSE by the service).
+// RunOptions.Progress (and streamed over SSE by the service). Every tick is
+// a step boundary of a running machine, so the callback can capture it
+// with Checkpoint.
 type Progress struct {
 	Steps       int `json:"steps"`
 	Collections int `json:"collections"`
 	LiveCells   int `json:"live_cells"`
+
+	// tick is the driver state Checkpoint captures.
+	tick *tick
 }
 
 // DefaultProgressEvery is the default Progress cadence in machine steps.
@@ -420,8 +417,8 @@ const DefaultFuel = 50_000_000
 var ErrOutOfFuel = errors.New("psgc: out of fuel")
 
 // ErrCanceled is returned (wrapped) by Run when a Progress callback
-// returns false. The accompanying Result carries the partial execution's
-// statistics, like ErrOutOfFuel.
+// returns false without having taken a checkpoint. The accompanying Result
+// carries the partial execution's statistics, like ErrOutOfFuel.
 var ErrCanceled = errors.New("psgc: run canceled")
 
 // NewMachine loads the compiled program into a fresh machine. Most
@@ -493,17 +490,11 @@ func (c *Compiled) Run(opts RunOptions) (Result, error) {
 }
 
 // run drives one execution, fresh or resumed from a checkpoint. Whatever
-// the engine, one loop steps it: fuel, checkpoints, Progress and the
-// collection count live here and nowhere else.
+// the engine, one loop steps it: fuel, Progress (and with it checkpoints)
+// and the collection count live here and nowhere else.
 func (c *Compiled) run(opts RunOptions, from *Checkpoint) (Result, error) {
 	if err := c.applyDecision(&opts); err != nil {
 		return Result{}, err
-	}
-	if opts.CheckpointEvery > 0 && opts.OnCheckpoint == nil {
-		return Result{}, errors.New("psgc: CheckpointEvery requires OnCheckpoint")
-	}
-	if (opts.CheckpointEvery > 0 || opts.Checkpointer != nil) && opts.CheckEveryStep {
-		return Result{}, errors.New("psgc: checkpointing is not supported in ghost mode")
 	}
 	m, err := c.load(&opts, from)
 	if err != nil {
@@ -532,26 +523,11 @@ func (c *Compiled) run(opts RunOptions, from *Checkpoint) (Result, error) {
 	}
 	s := m.Shared()
 	fuel, every := runBudgets(opts)
-	lastCk := s.Steps
+	var t *tick
+	if opts.Progress != nil {
+		t = &tick{c: c, m: m, prof: opts.Profiler, ghost: opts.CheckEveryStep}
+	}
 	for !s.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := c.capture(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(s, collections), fmt.Errorf("%w at step %d", ErrCheckpointed, s.Steps)
-		}
-		if opts.CheckpointEvery > 0 && s.Steps != lastCk && s.Steps%opts.CheckpointEvery == 0 {
-			lastCk = s.Steps
-			ck, err := c.capture(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(s, collections), fmt.Errorf("%w at step %d", ErrCheckpointed, s.Steps)
-			}
-		}
 		if fuel <= 0 {
 			return partialResult(s, collections), fmt.Errorf("%w after %d steps", ErrOutOfFuel, s.Steps)
 		}
@@ -574,12 +550,18 @@ func (c *Compiled) run(opts RunOptions, from *Checkpoint) (Result, error) {
 				return Result{}, err
 			}
 		}
-		if opts.Progress != nil && (collected || s.Steps%every == 0) {
+		if opts.Progress != nil && !s.Halted && (collected || s.Steps%every == 0) {
+			t.collections, t.fuel, t.open, t.taken = collections, fuel, true, false
 			ok := opts.Progress(Progress{
 				Steps:       s.Steps,
 				Collections: collections,
 				LiveCells:   s.Mem.LiveCells(),
+				tick:        t,
 			})
+			t.open = false
+			if !ok && t.taken {
+				return partialResult(s, collections), fmt.Errorf("%w at step %d", ErrCheckpointed, s.Steps)
+			}
 			if !ok {
 				return partialResult(s, collections), fmt.Errorf("%w after %d steps", ErrCanceled, s.Steps)
 			}

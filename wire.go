@@ -26,7 +26,6 @@ import (
 
 	"psgc/internal/collector"
 	"psgc/internal/gclang"
-	"psgc/internal/regions"
 )
 
 // wireEntry is the gob payload: the collector selection plus the elaborated
@@ -119,16 +118,5 @@ func recertify(col Collector, prog gclang.Program) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("program does not typecheck: %w", err)
 	}
-	entryNames := map[regions.Addr]string{}
-	if col == Generational {
-		entryNames[v.Minor.Addr] = "minor"
-		entryNames[v.Major.Addr] = "major"
-	} else {
-		entryNames[v.GC.Addr] = "gc"
-	}
-	return &Compiled{
-		Collector: col, Prog: elab,
-		entries: v.Entries, entryNames: entryNames, collectorFuns: len(v.Funs),
-		code: gclang.LowerOnto(v.Code, elab),
-	}, nil
+	return link(col, v, elab), nil
 }
