@@ -2,21 +2,14 @@ package psgc
 
 import (
 	"fmt"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
-)
 
-// passStems are the stems of every binder cps, closconv and translate
-// introduce. A source binder with one of these stems is renamed to
-// stem$N by cps, so it meets the later passes' binders on the same stem.
-var passStems = []string{
-	// cps
-	"ar", "join", "jr", "k", "kv", "p", "pa", "pj", "pr", "r",
-	// closconv
-	"cenv", "clo", "cptr", "env", "q", "rest", "t", "w",
-	// translate
-	"d", "h", "hp", "rx", "s", "xp",
-}
+	"psgc/internal/names"
+)
 
 // captureProbe binds a pair to stem after lets filler lets and projects
 // it. The filler lets move the cps supply's counter; when the compile
@@ -96,11 +89,41 @@ func TestCompilePassesDoNotCaptureNames(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	for _, stem := range passStems {
+	for _, stem := range names.PassStems {
 		for lets := 0; lets < 40; lets++ {
 			for _, col := range allCollectors {
-				checkHygienic(t, captureProbe(stem, lets), col, false)
+				checkHygienic(t, captureProbe(string(stem), lets), col, false)
 			}
 		}
+	}
+}
+
+// TestPassStemsListsEveryPassBinder keeps names.PassStems in step with
+// the passes: the stems cps, closconv and translate ask their supply for
+// are exactly the listed ones.
+func TestPassStemsListsEveryPassBinder(t *testing.T) {
+	fresh := regexp.MustCompile(`[fF]resh\("([^"]+)"\)`)
+	var got []string
+	for _, file := range []string{
+		"internal/cps/cps.go",
+		"internal/closconv/closconv.go",
+		"internal/translate/translate.go",
+	} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range fresh.FindAllStringSubmatch(string(src), -1) {
+			got = append(got, m[1])
+		}
+	}
+	var want []string
+	for _, stem := range names.PassStems {
+		want = append(want, string(stem))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if got = slices.Compact(got); !slices.Equal(got, want) {
+		t.Errorf("the passes introduce stems %v; names.PassStems lists %v", got, want)
 	}
 }

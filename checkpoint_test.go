@@ -296,7 +296,9 @@ func TestCheckpointFuelInheritance(t *testing.T) {
 // image, negative counters) are all rejected with an error — never a
 // panic, never a resumable machine.
 func TestDecodeCheckpointRejectsCorruptBlobs(t *testing.T) {
-	src := workload.AllocHeavySrc(20)
+	// build 60 checkpoints into a blob of about 850 KB, so every fixed
+	// bit-flip offset below falls well inside it.
+	src := workload.AllocHeavySrc(60)
 	c, err := Compile(src, Forwarding)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,12 @@
 // functions of type τ1 → τ2 become code expecting a pair of the argument
 // and a return continuation, (⟦τ1⟧ × (⟦τ2⟧)→0) → 0. Types are expressed
 // directly as tags (package tags), anticipating the λGC tag language.
+//
+// As in Danvy–Filinski, the conversion is properly tail recursive: a call
+// in tail position passes the caller's continuation on rather than
+// reifying a new one, and an if0 in tail position hands it to both
+// branches rather than reifying a join point. A tail-recursive source
+// loop therefore runs in constant live data.
 package cps
 
 import (
@@ -297,13 +303,11 @@ func (c *converter) fresh(base names.Name) names.Name { return c.supply.Fresh(ba
 
 func (c *converter) convertFunBody(top source.Env, f source.FunDef) (FunDef, error) {
 	// f(x:τ1):τ2 = e  ⇒  f(p : ⟦τ1⟧ × (⟦τ2⟧)→0) =
-	//   let x = π1 p in let k = π2 p in ⟦e⟧(λr. k(r))
+	//   let x = π1 p in let k = π2 p in ⟦e⟧ₜ k
 	p := c.fresh("p")
 	k := c.fresh("k")
 	env := top.Extend(f.Param, f.ParamType)
-	body, err := c.convert(env, f.Body, func(v Value) (Term, error) {
-		return App{Fn: Var{Name: k}, Arg: v}, nil
-	})
+	body, err := c.convertTail(env, f.Body, Var{Name: k})
 	if err != nil {
 		return FunDef{}, fmt.Errorf("in function %s: %w", f.Name, err)
 	}
@@ -431,6 +435,52 @@ func (c *converter) convert(env source.Env, e source.Expr, k metaK) (Term, error
 	}
 }
 
+// convertTail converts e in tail position, ⟦e⟧ₜ kv: its value goes to
+// the continuation variable kv. A call passes kv on as its return
+// continuation and both branches of an if0 return to kv, so neither
+// allocates a continuation; every other expression is converted by
+// convert and its value applied to kv.
+func (c *converter) convertTail(env source.Env, e source.Expr, kv Value) (Term, error) {
+	switch e := e.(type) {
+	case source.App:
+		return c.convert(env, e.Fn, func(fn Value) (Term, error) {
+			return c.convert(env, e.Arg, func(arg Value) (Term, error) {
+				pa := c.fresh("pa")
+				return LetVal{X: pa, V: Pair{L: arg, R: kv},
+					Body: App{Fn: fn, Arg: Var{Name: pa}}}, nil
+			})
+		})
+	case source.Let:
+		return c.convert(env, e.Rhs, func(v Value) (Term, error) {
+			rhsTy, err := source.Infer(env, e.Rhs)
+			if err != nil {
+				return nil, err
+			}
+			rest, err := c.convertTail(env.Extend(e.X, rhsTy), e.Body, kv)
+			if err != nil {
+				return nil, err
+			}
+			return LetVal{X: e.X, V: v, Body: rest}, nil
+		})
+	case source.If0:
+		return c.convert(env, e.Cond, func(v Value) (Term, error) {
+			thn, err := c.convertTail(env, e.Then, kv)
+			if err != nil {
+				return nil, err
+			}
+			els, err := c.convertTail(env, e.Else, kv)
+			if err != nil {
+				return nil, err
+			}
+			return If0{V: v, Then: thn, Else: els}, nil
+		})
+	default:
+		return c.convert(env, e, func(v Value) (Term, error) {
+			return App{Fn: kv, Arg: v}, nil
+		})
+	}
+}
+
 func (c *converter) convertLam(env source.Env, e source.Lam) (Value, error) {
 	resTy, err := source.Infer(env.Extend(e.Param, e.ParamType), e.Body)
 	if err != nil {
@@ -438,9 +488,7 @@ func (c *converter) convertLam(env source.Env, e source.Lam) (Value, error) {
 	}
 	p := c.fresh("p")
 	k := c.fresh("k")
-	body, err := c.convert(env.Extend(e.Param, e.ParamType), e.Body, func(v Value) (Term, error) {
-		return App{Fn: Var{Name: k}, Arg: v}, nil
-	})
+	body, err := c.convertTail(env.Extend(e.Param, e.ParamType), e.Body, Var{Name: k})
 	if err != nil {
 		return Lam{}, err
 	}

@@ -134,3 +134,54 @@ func TestFuel(t *testing.T) {
 		t.Errorf("expected ErrFuel, got %v", err)
 	}
 }
+
+// TestTailCallsPassTheContinuationOn pins proper tail recursion: in a
+// function whose calls are all in tail position, every call passes the
+// function's own continuation on and every if0 returns straight to it, so
+// the converted body binds no continuation (kv) and no join point (join)
+// and holds no Lam at all.
+func TestTailCallsPassTheContinuationOn(t *testing.T) {
+	cases := []string{
+		"fun loop (n : int) : int = if0 n then 0 else let p = (n, (n, n)) in loop (n - 1)\ndo loop 100",
+		"fun g (n : int) : int = n * 2\nfun f (n : int) : int = if0 n then g n else g (n - 1)\ndo f 3",
+		"fun even (n : int) : int = if0 n then 1 else odd (n - 1)\nfun odd (n : int) : int = if0 n then 0 else even (n - 1)\ndo even 10",
+	}
+	for _, src := range cases {
+		convertAndRun(t, src)
+		cp := MustConvert(source.MustParse(src), new(names.Supply))
+		for _, f := range cp.Funs {
+			if lams := countLams(f.Body); lams != 0 {
+				t.Errorf("%s: body holds %d Lam(s), want none:\n%s", f.Name, lams, f.Body)
+			}
+		}
+	}
+}
+
+// countLams counts the Lam values anywhere in e.
+func countLams(e Term) int {
+	var value func(Value) int
+	value = func(v Value) int {
+		switch v := v.(type) {
+		case Pair:
+			return value(v.L) + value(v.R)
+		case Lam:
+			return 1 + countLams(v.Body)
+		}
+		return 0
+	}
+	switch e := e.(type) {
+	case LetVal:
+		return value(e.V) + countLams(e.Body)
+	case LetProj:
+		return value(e.V) + countLams(e.Body)
+	case LetArith:
+		return value(e.L) + value(e.R) + countLams(e.Body)
+	case If0:
+		return value(e.V) + countLams(e.Then) + countLams(e.Else)
+	case App:
+		return value(e.Fn) + value(e.Arg)
+	case Halt:
+		return value(e.V)
+	}
+	return 0
+}

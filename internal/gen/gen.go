@@ -33,10 +33,20 @@ func Program(r *rand.Rand, cfg Config) source.Program {
 }
 
 type generator struct {
-	r      *rand.Rand
-	cfg    Config
-	supply names.Supply
-	funs   []source.FunDef
+	r       *rand.Rand
+	cfg     Config
+	supply  names.Supply
+	binders int
+	funs    []source.FunDef
+}
+
+// binder returns a fresh binder name. Its stem cycles through the
+// compile passes' stems, so generated programs meet the passes' own
+// binders on the same stems, where a capture between passes would show.
+func (g *generator) binder() names.Name {
+	stem := names.PassStems[g.binders%len(names.PassStems)]
+	g.binders++
+	return g.supply.Fresh(stem)
 }
 
 // typ generates a random type of bounded depth. Function types are kept
@@ -134,7 +144,7 @@ func (g *generator) expr(env source.Env, t source.Type, depth int, rec bool) sou
 	// A few generic constructions available at every type.
 	switch g.r.Intn(8) {
 	case 0:
-		x := g.supply.Fresh("v")
+		x := g.binder()
 		rhsTy := g.typ(1)
 		rhs := g.expr(env, rhsTy, depth-1, rec)
 		body := g.expr(env.Extend(x, rhsTy), t, depth-1, rec)
@@ -179,7 +189,7 @@ func (g *generator) expr(env source.Env, t source.Type, depth int, rec bool) sou
 			L: g.expr(env, t.L, depth-1, rec),
 			R: g.expr(env, t.R, depth-1, rec)}
 	case source.FnT:
-		x := g.supply.Fresh("x")
+		x := g.binder()
 		body := g.expr(env.Extend(x, t.Dom), t.Cod, depth-1, rec)
 		return source.Lam{Param: x, ParamType: t.Dom, Body: body}
 	default:
@@ -220,7 +230,7 @@ func (g *generator) atom(env source.Env, t source.Type, rec bool) source.Expr {
 	case source.ProdT:
 		return source.Pair{L: g.atom(env, t.L, rec), R: g.atom(env, t.R, rec)}
 	case source.FnT:
-		x := g.supply.Fresh("x")
+		x := g.binder()
 		return source.Lam{Param: x, ParamType: t.Dom, Body: g.atom(env.Extend(x, t.Dom), t.Cod, rec)}
 	default:
 		panic("gen: unknown type")

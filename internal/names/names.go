@@ -51,6 +51,20 @@ func (s *Supply) FreshN(base Name, n int) []Name {
 	return out
 }
 
+// PassStems are the stems of every binder the compile passes introduce:
+// cps, then closure conversion, then the region translation. A source
+// binder on one of these stems is renamed to stem$N by cps, so it meets
+// the later passes' own binders on the same stem; the capture tests and
+// the random program generator draw source binders from this list.
+var PassStems = []Name{
+	// cps
+	"ar", "join", "jr", "k", "kv", "p", "pa", "pj", "pr", "r",
+	// closconv
+	"cenv", "clo", "cptr", "env", "q", "rest", "t", "w",
+	// translate
+	"d", "h", "hp", "rx", "s", "xp",
+}
+
 // Set is a set of names.
 type Set map[Name]struct{}
 

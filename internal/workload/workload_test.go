@@ -79,7 +79,7 @@ func TestSharedDAGSrcPreservesSharing(t *testing.T) {
 	// the basic collector copies the shared tower once per path (four
 	// times), the forwarding collector once — so basic allocates strictly
 	// more and holds a strictly larger survivor set.
-	for _, cfg := range []struct{ churn, capacity int }{{200, 2048}, {400, 4096}} {
+	for _, cfg := range []struct{ churn, capacity int }{{200, 1024}, {400, 2048}} {
 		src := SharedDAGSrc(cfg.churn)
 		want, err := psgc.Interpret(src)
 		if err != nil {
