@@ -132,22 +132,16 @@ func TestCoCheckValidatesArena(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/build %d: compile: %v", col, n, err)
 			}
-			var div *Divergence
 			res, err := c.Run(RunOptions{
 				Capacity: 32,
 				Backend:  regions.BackendArena,
-				CoCheck:  true,
-				OnDivergence: func(d Divergence) {
-					if div == nil {
-						div = &d
-					}
-				},
+				Engine:   EngineCoChecked,
 			})
 			if err != nil {
 				t.Fatalf("%s/build %d: run: %v", col, n, err)
 			}
-			if div != nil {
-				t.Fatalf("%s/build %d: arena diverged from map oracle: %v", col, n, *div)
+			if res.Divergence != nil {
+				t.Fatalf("%s/build %d: arena diverged from map oracle: %v", col, n, *res.Divergence)
 			}
 			plain, err := c.Run(RunOptions{Capacity: 32, Backend: regions.BackendArena})
 			if err != nil {
@@ -183,16 +177,10 @@ func TestTracedCoCheckedRunReplays(t *testing.T) {
 			}
 			var tr *regions.Trace[gclang.Cell]
 			var wrapped []regions.Backend
-			var div *Divergence
 			res, err := c.Run(RunOptions{
 				Capacity: capacity,
 				Backend:  regions.BackendArena,
-				CoCheck:  true,
-				OnDivergence: func(d Divergence) {
-					if div == nil {
-						div = &d
-					}
-				},
+				Engine:   EngineCoChecked,
 				WrapStore: func(s regions.Store[gclang.Cell]) regions.Store[gclang.Cell] {
 					wrapped = append(wrapped, s.Backend())
 					tr = regions.NewTrace(s)
@@ -202,8 +190,8 @@ func TestTracedCoCheckedRunReplays(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: traced run: %v", cfg, err)
 			}
-			if div != nil {
-				t.Fatalf("%s: traced arena diverged from map oracle: %v", cfg, *div)
+			if res.Divergence != nil {
+				t.Fatalf("%s: traced arena diverged from map oracle: %v", cfg, *res.Divergence)
 			}
 			plain, err := c.Run(RunOptions{Capacity: capacity, Backend: regions.BackendArena})
 			if err != nil {

@@ -38,21 +38,16 @@ func checkHygienic(t *testing.T, src string, col Collector, coCheck bool) {
 	if err != nil {
 		t.Fatalf("%s: compile: %v\n%s", col, err, src)
 	}
-	var div *Divergence
-	res, err := c.Run(RunOptions{
-		Capacity: 4,
-		CoCheck:  coCheck,
-		OnDivergence: func(d Divergence) {
-			if div == nil {
-				div = &d
-			}
-		},
-	})
+	opts := RunOptions{Capacity: 4}
+	if coCheck {
+		opts.Engine = EngineCoChecked
+	}
+	res, err := c.Run(opts)
 	if err != nil {
 		t.Fatalf("%s: run: %v\n%s", col, err, src)
 	}
-	if div != nil {
-		t.Fatalf("%s: co-check diverged: %v\n%s", col, *div, src)
+	if res.Divergence != nil {
+		t.Fatalf("%s: co-check diverged: %v\n%s", col, *res.Divergence, src)
 	}
 	if res.Value != want {
 		t.Fatalf("%s: value %d, reference %d\n%s", col, res.Value, want, src)

@@ -164,20 +164,25 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}, nil
 }
 
-// Resume continues the checkpointed run under opts. The engine comes from
-// the checkpoint (an env image resumes on the environment machine, a
-// subst image on the substitution machine; opts.Engine is ignored), and
-// heap capacity and growth policy come from the heap image, but the
-// backend is opts.Backend — resuming an arena checkpoint with
-// Backend: regions.BackendMap is cross-backend migration. With opts.Fuel
-// zero the run inherits the checkpoint's remaining fuel, so an
-// interrupted budget stays a budget. CoCheck on an env checkpoint rebuilds
-// the substitution oracle from the same image (gclang.RestoreOracle), so
-// the lockstep counter comparison stays exact across the checkpoint.
-// CheckEveryStep and WrapStore are not supported on resume.
+// Resume continues the checkpointed run under opts. The image names the
+// machine: an env image resumes on the environment machine, a subst image
+// on the substitution machine. The one engine opts can pick instead is
+// EngineCoChecked on an env image, which rebuilds the substitution oracle
+// from the same image (gclang.RestoreOracle), so the lockstep counter
+// comparison stays exact across the checkpoint. Heap capacity and growth
+// policy come from the heap image, but the backend is opts.Backend —
+// resuming an arena checkpoint with Backend: regions.BackendMap is
+// cross-backend migration. With opts.Fuel zero the run inherits the
+// checkpoint's remaining fuel, so an interrupted budget stays a budget.
+// EngineChecked and WrapStore are not supported on resume.
 func (ck *Checkpoint) Resume(opts RunOptions) (Result, error) {
-	if opts.CheckEveryStep {
+	switch {
+	case opts.Engine == EngineChecked:
 		return Result{}, errors.New("psgc: cannot resume a checkpoint into ghost mode")
+	case opts.Engine == EngineCoChecked && ck.Engine == EngineEnv:
+		// Co-check the env image against an oracle rebuilt from it.
+	default:
+		opts.Engine = ck.Engine
 	}
 	if opts.WrapStore != nil {
 		return Result{}, errors.New("psgc: WrapStore is not supported on resume")
@@ -189,14 +194,13 @@ func (ck *Checkpoint) Resume(opts RunOptions) (Result, error) {
 }
 
 // tick is the driver state behind a Progress value: the machine the run
-// steps, its profiler and whether it is in ghost mode, the collection count
-// and fuel left at the current tick, whether the Progress callback is
-// running (open), and whether it has taken a checkpoint this tick.
+// steps, its profiler, the collection count and fuel left at the current
+// tick, whether the Progress callback is running (open), and whether it
+// has taken a checkpoint this tick.
 type tick struct {
 	c                 *Compiled
 	m                 gclang.Stepper
 	prof              *obs.Profiler
-	ghost             bool
 	collections, fuel int
 	open, taken       bool
 }
@@ -206,14 +210,14 @@ type tick struct {
 // flight simply finishes its current step like any other. Checkpoint is
 // valid only inside the RunOptions.Progress callback that received p; if
 // the callback then returns false, Run stops with ErrCheckpointed. The
-// caller stamps SourceHash and TraceID. Ghost mode (CheckEveryStep) cannot
-// be checkpointed.
+// caller stamps SourceHash and TraceID. A ghost-mode run (EngineChecked)
+// cannot be checkpointed.
 func (p Progress) Checkpoint() (*Checkpoint, error) {
 	t := p.tick
 	if t == nil || !t.open {
 		return nil, errors.New("psgc: checkpoint outside the Progress callback")
 	}
-	if t.ghost {
+	if m, ok := t.m.(*gclang.Machine); ok && m.Ghost {
 		return nil, errors.New("psgc: checkpointing is not supported in ghost mode")
 	}
 	ck, err := t.c.capture(t.m, t.prof, t.collections, t.fuel)

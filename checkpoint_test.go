@@ -161,7 +161,7 @@ func TestCheckpointerPausesOnDemand(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeCoChecked resumes an env checkpoint under CoCheck:
+// TestCheckpointResumeCoChecked resumes an env checkpoint co-checked:
 // the substitution oracle is rebuilt from the same image, the lockstep
 // counter comparison holds across the checkpoint (no divergence), and the
 // result matches the uninterrupted run. Checkpointing *from* a co-checked
@@ -178,21 +178,18 @@ func TestCheckpointResumeCoChecked(t *testing.T) {
 	}
 
 	// Checkpoint taken from a co-checked run (captured from the shadow).
-	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Backend: regions.BackendArena, CoCheck: true}, ref.Steps/3)
+	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Backend: regions.BackendArena, Engine: EngineCoChecked}, ref.Steps/3)
 	if ck.Engine != EngineEnv {
 		t.Fatalf("co-checked capture engine %v, want env", ck.Engine)
 	}
 
 	// Resume co-checked on the other backend.
-	got, err := ck.Resume(RunOptions{
-		Backend: regions.BackendMap,
-		CoCheck: true,
-		OnDivergence: func(d Divergence) {
-			t.Errorf("resumed co-check diverged: %v", d)
-		},
-	})
+	got, err := ck.Resume(RunOptions{Backend: regions.BackendMap, Engine: EngineCoChecked})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got.Divergence != nil {
+		t.Errorf("resumed co-check diverged: %v", *got.Divergence)
 	}
 	if got != ref {
 		t.Fatalf("resumed co-checked run diverged:\n  resumed       %+v\n  uninterrupted %+v", got, ref)
@@ -390,7 +387,7 @@ func TestCheckpointOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ghostErr error
-	_, err = c.Run(RunOptions{CheckEveryStep: true, ProgressEvery: 10, Progress: func(p Progress) bool {
+	_, err = c.Run(RunOptions{Engine: EngineChecked, ProgressEvery: 10, Progress: func(p Progress) bool {
 		_, ghostErr = p.Checkpoint()
 		return false
 	}})
@@ -412,7 +409,7 @@ func TestCheckpointOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck := checkpointAt(t, c, RunOptions{Capacity: 32}, ref.Steps/2)
-	if _, err := ck.Resume(RunOptions{CheckEveryStep: true}); err == nil {
+	if _, err := ck.Resume(RunOptions{Engine: EngineChecked}); err == nil {
 		t.Fatal("resume into ghost mode accepted")
 	}
 	if _, err := ck.Resume(RunOptions{

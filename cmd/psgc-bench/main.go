@@ -284,7 +284,7 @@ func e7() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: 16, CheckEveryStep: true, Fuel: 2_000_000, Backend: runBackend})
+			res, err := c.Run(psgc.RunOptions{Capacity: 16, Engine: psgc.EngineChecked, Fuel: 2_000_000, Backend: runBackend})
 			if err != nil {
 				log.Fatalf("%v: soundness violation: %v", col, err)
 			}
@@ -479,20 +479,16 @@ func writePolicySnapshot(path string) error {
 		}
 		d := eng.Decide(wl.name, psgc.Basic.String(), benchCapacity)
 		adaptive := compiled[d.Collector]
-		adaptiveOpts := psgc.RunOptions{
-			Capacity: d.Capacity, Decision: &d,
-		}
+		adaptiveOpts := psgc.RunOptions{Capacity: d.Capacity}
 
 		// Co-check the adaptive configuration against the oracle once.
-		diverged := false
 		cocheckOpts := adaptiveOpts
-		cocheckOpts.CoCheck = true
-		cocheckOpts.OnDivergence = func(psgc.Divergence) { diverged = true }
+		cocheckOpts.Engine = psgc.EngineCoChecked
 		res, err := adaptive.Run(cocheckOpts)
-		if err != nil || diverged || res.Value != want {
+		if err != nil || res.Divergence != nil || res.Value != want {
 			snap.CoCheckOK = false
-			fmt.Printf("CO-CHECK FAILURE under adaptive policy on %s: err=%v diverged=%v value=%d want=%d\n",
-				wl.name, err, diverged, res.Value, want)
+			fmt.Printf("CO-CHECK FAILURE under adaptive policy on %s: err=%v divergence=%v value=%d want=%d\n",
+				wl.name, err, res.Divergence, res.Value, want)
 		}
 
 		// Timed reps, all variants interleaved, every run profiled. Every

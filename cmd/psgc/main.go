@@ -130,7 +130,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		compiled, col = ck.Compiled(), ck.Collector
 		srcHash, traceID = ck.SourceHash, ck.TraceID
+		// The checkpoint names the machine; -cocheck is the one engine
+		// choice a resume takes.
 		opts = psgc.RunOptions{Backend: be}
+		if *cocheck {
+			opts.Engine = psgc.EngineCoChecked
+		}
 	} else {
 		var src string
 		switch {
@@ -179,6 +184,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
+		// -check runs the substitution machine in ghost mode whatever
+		// -engine says; -cocheck co-steps the env engine only.
+		switch {
+		case *check:
+			eng = psgc.EngineChecked
+		case *cocheck && eng == psgc.EngineEnv:
+			eng = psgc.EngineCoChecked
+		}
 		be, err := regions.ParseBackend(*backend)
 		if err != nil {
 			return fail(err)
@@ -186,8 +199,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		// -policy adaptive: run a profiled pilot with the fallback collector,
 		// feed its profile to the policy engine, and let the decision pick the
-		// collector and capacity for the run whose value we print. The CLI has
-		// no cross-invocation store, so the pilot run stands in for a warm one.
+		// collector and capacity for the run whose value we print: that run is
+		// compiled with the decided collector and runs at the decided
+		// capacity. The CLI has no cross-invocation store, so the pilot run
+		// stands in for a warm one.
 		runCapacity := *capacity
 		if pol == policy.Adaptive {
 			pe := policy.NewEngine(obs.NewProfileStore(4))
@@ -213,22 +228,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		srcHash = fmt.Sprintf("%x", sha256.Sum256([]byte(src)))
 		opts = psgc.RunOptions{
-			Capacity:       runCapacity,
-			FixedCapacity:  *fixed,
-			CheckEveryStep: *check,
-			Engine:         eng,
-			Backend:        be,
-			Decision:       decision,
+			Capacity:      runCapacity,
+			FixedCapacity: *fixed,
+			Engine:        eng,
+			Backend:       be,
 		}
 	}
 
-	// Fresh and resumed runs share everything from here on: co-check,
-	// tracing, checkpoints, and the outcome.
-	var divergence *psgc.Divergence
-	if *cocheck {
-		opts.CoCheck = true
-		opts.OnDivergence = func(d psgc.Divergence) { divergence = &d }
-	}
+	// Fresh and resumed runs share everything from here on: tracing,
+	// checkpoints, and the outcome.
 	var rec *obs.Recorder
 	if *trace || *traceJSON {
 		rec = compiled.Recorder()
@@ -287,11 +295,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if divergence != nil {
+	if res.Divergence != nil {
 		// The printed value is the oracle's and therefore correct, but an
 		// engine divergence is a bug worth a hard failure in scripts.
 		fmt.Fprintln(stdout, res.Value)
-		fmt.Fprintf(stderr, "psgc: engine divergence: %s\n", divergence)
+		fmt.Fprintf(stderr, "psgc: engine divergence: %s\n", res.Divergence)
 		return 1
 	}
 	if *traceJSON {

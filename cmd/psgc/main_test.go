@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,41 @@ func TestStats(t *testing.T) {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stats output missing %q:\n%s", want, errOut)
 		}
+	}
+}
+
+// TestPolicyAdaptiveCLI pins that -policy adaptive only decides: its value
+// and stats are those of a static run at the decided collector and
+// capacity (the program is big enough to collect at the capacity the
+// policy picks).
+func TestPolicyAdaptiveCLI(t *testing.T) {
+	const src = "fun build (n : int) : int =\n  if0 n then 0\n  else let p = (n, (n, n)) in fst p + build (n - 1)\ndo build 1000"
+	code, out, errOut := runCLI(t, "-policy", "adaptive", "-stats", "-capacity", "16", "-e", src)
+	if code != 0 {
+		t.Fatalf("adaptive: exit %d, stderr %q", code, errOut)
+	}
+	var col string
+	var capacity int
+	var rest []string
+	for _, line := range strings.Split(errOut, "\n") {
+		if strings.HasPrefix(line, "policy:") {
+			if _, err := fmt.Sscanf(line, "policy:      adaptive -> %s at capacity %d", &col, &capacity); err != nil {
+				t.Fatalf("policy line %q: %v", line, err)
+			}
+			continue
+		}
+		rest = append(rest, line)
+	}
+	if col == "" {
+		t.Fatalf("no policy line in %q", errOut)
+	}
+	code, staticOut, staticErr := runCLI(t, "-gc", col, "-capacity", fmt.Sprint(capacity), "-stats", "-e", src)
+	if code != 0 {
+		t.Fatalf("static: exit %d, stderr %q", code, staticErr)
+	}
+	if out != staticOut || strings.Join(rest, "\n") != staticErr {
+		t.Errorf("adaptive printed %q and\n%s\nstatic -gc %s -capacity %d printed %q and\n%s",
+			out, errOut, col, capacity, staticOut, staticErr)
 	}
 }
 

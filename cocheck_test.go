@@ -9,7 +9,7 @@ import (
 )
 
 // TestCoCheckAgreesClean runs every collector co-checked with no faults
-// installed: the engines must agree (no divergence callback), and the
+// installed: the engines must agree (no Divergence), and the
 // result must match both the reference evaluator and a plain env run.
 func TestCoCheckAgreesClean(t *testing.T) {
 	want, err := Interpret(allocHeavy)
@@ -21,19 +21,12 @@ func TestCoCheckAgreesClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", col, err)
 		}
-		var div *Divergence
-		res, err := c.Run(RunOptions{
-			Capacity: 40,
-			CoCheck:  true,
-			OnDivergence: func(d Divergence) {
-				div = &d
-			},
-		})
+		res, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked})
 		if err != nil {
 			t.Fatalf("%v: co-checked run: %v", col, err)
 		}
-		if div != nil {
-			t.Fatalf("%v: clean run diverged: %v", col, *div)
+		if res.Divergence != nil {
+			t.Fatalf("%v: clean run diverged: %v", col, *res.Divergence)
 		}
 		if res.Value != want {
 			t.Errorf("%v: value %d, want %d", col, res.Value, want)
@@ -63,22 +56,16 @@ func TestCoCheckCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var divs []Divergence
-	res, err := c.Run(RunOptions{
-		Capacity: 40,
-		CoCheck:  true,
-		OnDivergence: func(d Divergence) {
-			divs = append(divs, d)
-		},
-	})
+	res, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked})
 	if err != nil {
 		t.Fatalf("co-checked run under corruption: %v", err)
 	}
-	if len(divs) != 1 {
-		t.Fatalf("got %d divergence callbacks, want exactly 1: %v", len(divs), divs)
+	div := res.Divergence
+	if div == nil {
+		t.Fatal("corrupted run reported no divergence")
 	}
-	if divs[0].Step <= 0 || divs[0].Detail == "" {
-		t.Errorf("malformed divergence: %+v", divs[0])
+	if div.Step <= 0 || div.Detail == "" {
+		t.Errorf("malformed divergence: %+v", *div)
 	}
 	if res.Value != want {
 		t.Errorf("fallback value %d, want the oracle's %d", res.Value, want)
@@ -96,21 +83,52 @@ func TestCoCheckCatchesEnvStepFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var div Divergence
-	res, err := c.Run(RunOptions{
-		Capacity:     40,
-		CoCheck:      true,
-		OnDivergence: func(d Divergence) { div = d },
-	})
+	res, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(div.Detail, "injected fault") {
-		t.Errorf("divergence detail %q does not report the injected error", div.Detail)
+	if res.Divergence == nil || !strings.Contains(res.Divergence.Detail, "injected fault") {
+		t.Errorf("divergence %v does not report the injected error", res.Divergence)
 	}
 	want, _ := Interpret(allocHeavy)
 	if res.Value != want {
 		t.Errorf("value %d, want %d", res.Value, want)
+	}
+}
+
+// TestCoCheckDivergenceOnPartialResult pins that a co-checked run cut by
+// its fuel budget still reports what it saw: a run that diverged before
+// the cut carries the Divergence in its partial Result, exactly as the
+// completed run reports it, and a clean one carries nil.
+func TestCoCheckDivergenceOnPartialResult(t *testing.T) {
+	c, err := Compile(allocHeavy, Forwarding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked, Fuel: 500})
+	if !errors.Is(err, ErrOutOfFuel) {
+		t.Fatalf("clean run at fuel 500: err %v, want ErrOutOfFuel", err)
+	}
+	if clean.Divergence != nil {
+		t.Errorf("clean partial run diverged: %v", *clean.Divergence)
+	}
+
+	fault.Install(fault.NewRegistry(1).Enable(fault.HeapCorrupt, 1))
+	defer fault.Install(nil)
+	full, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Divergence == nil || full.Divergence.Step >= full.Steps {
+		t.Fatalf("corrupted run %+v does not diverge before its last step", full)
+	}
+	fuel := full.Divergence.Step + (full.Steps-full.Divergence.Step)/2
+	partial, err := c.Run(RunOptions{Capacity: 40, Engine: EngineCoChecked, Fuel: fuel})
+	if !errors.Is(err, ErrOutOfFuel) {
+		t.Fatalf("corrupted run at fuel %d: err %v, want ErrOutOfFuel", fuel, err)
+	}
+	if partial.Divergence == nil || *partial.Divergence != *full.Divergence {
+		t.Errorf("partial run at fuel %d reports divergence %v, the full run %v", fuel, partial.Divergence, *full.Divergence)
 	}
 }
 

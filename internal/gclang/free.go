@@ -36,6 +36,15 @@ func (sc *scopes) with(set names.Set, ns []names.Name, f func()) {
 	}
 }
 
+func newFreeSets() *freeSets {
+	return &freeSets{
+		vals:  make(names.Set),
+		tagvs: make(names.Set),
+		regs:  make(names.Set),
+		types: make(names.Set),
+	}
+}
+
 // freeAcc accumulates the free names of λGC syntax into a freeSets.
 type freeAcc struct {
 	out *freeSets
@@ -44,12 +53,7 @@ type freeAcc struct {
 // FreeNames returns the free names of a term in all four namespaces:
 // term variables, tag variables, region variables, and type variables.
 func FreeNames(e Term) (vals, tagvs, regs, types names.Set) {
-	fs := &freeSets{
-		vals:  make(names.Set),
-		tagvs: make(names.Set),
-		regs:  make(names.Set),
-		types: make(names.Set),
-	}
+	fs := newFreeSets()
 	acc := &freeAcc{out: fs}
 	acc.term(e, newScopes())
 	return fs.vals, fs.tagvs, fs.regs, fs.types
@@ -57,12 +61,7 @@ func FreeNames(e Term) (vals, tagvs, regs, types names.Set) {
 
 // FreeValueNames returns the free names of a value in all four namespaces.
 func FreeValueNames(v Value) (vals, tagvs, regs, types names.Set) {
-	fs := &freeSets{
-		vals:  make(names.Set),
-		tagvs: make(names.Set),
-		regs:  make(names.Set),
-		types: make(names.Set),
-	}
+	fs := newFreeSets()
 	acc := &freeAcc{out: fs}
 	acc.value(v, newScopes())
 	return fs.vals, fs.tagvs, fs.regs, fs.types

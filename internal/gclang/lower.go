@@ -625,12 +625,11 @@ func (l *lowerer) tag(t tags.Tag) ltag {
 	if v, ok := t.(tags.Var); ok {
 		return ltag{src: t, slot: l.slot(nsTags, v.Name)}
 	}
-	var w fvWalker
-	w.tag(t)
-	if len(w.fv.tags) == 0 {
+	fv := tags.FreeVars(t)
+	if len(fv) == 0 {
 		return ltag{src: t, slot: -1}
 	}
-	sc := l.scope(w.fv)
+	sc := l.scope(freeVars{tags: sortedNames(fv)})
 	return ltag{src: t, slot: -1, sc: &sc}
 }
 

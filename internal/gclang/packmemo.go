@@ -136,172 +136,42 @@ func (m *EnvMachine) memoValid(sc *scope, e *memoEntry) bool {
 }
 
 // freeVars holds the free variables of a piece of annotation syntax, split
-// by namespace and deduplicated; order is irrelevant.
+// by namespace and deduplicated.
 type freeVars struct {
 	tags []names.Name
 	regs []names.Name
 	typs []names.Name
 }
 
-// fvWalker accumulates the free variables of annotation syntax under the
-// same shadow discipline the resolver uses (see tag1/typ1 in
-// resolver.go): a name is free exactly when the resolver would consult
-// the environment for it. Unknown syntax forms panic, as they do in the
-// resolver — silently skipping one would under-approximate the free set
-// and let a stale descriptor validate.
-type fvWalker struct {
-	fv     freeVars
-	shTags []names.Name
-	shRegs []names.Name
-	shTyps []names.Name
-}
-
-func appendName(ns []names.Name, n names.Name) []names.Name {
-	for _, have := range ns {
-		if have == n {
-			return ns
-		}
-	}
-	return append(ns, n)
-}
-
-func (w *fvWalker) tag(t tags.Tag) {
-	switch t := t.(type) {
-	case tags.Int:
-	case tags.Var:
-		if !shadowed(w.shTags, t.Name) {
-			w.fv.tags = appendName(w.fv.tags, t.Name)
-		}
-	case tags.Prod:
-		w.tag(t.L)
-		w.tag(t.R)
-	case tags.Code:
-		for _, a := range t.Args {
-			w.tag(a)
-		}
-	case tags.Exist:
-		w.shTags = append(w.shTags, t.Bound)
-		w.tag(t.Body)
-		w.shTags = w.shTags[:len(w.shTags)-1]
-	case tags.Lam:
-		w.shTags = append(w.shTags, t.Param)
-		w.tag(t.Body)
-		w.shTags = w.shTags[:len(w.shTags)-1]
-	case tags.App:
-		w.tag(t.Fn)
-		w.tag(t.Arg)
-	default:
-		panic(fmt.Sprintf("gclang: unknown tag %T", t))
-	}
-}
-
-func (w *fvWalker) region(r Region) {
-	if rv, ok := r.(RVar); ok && !shadowed(w.shRegs, rv.Name) {
-		w.fv.regs = appendName(w.fv.regs, rv.Name)
-	}
-}
-
-func (w *fvWalker) regions(rs []Region) {
-	for _, r := range rs {
-		w.region(r)
-	}
-}
-
-func (w *fvWalker) typ(t Type) {
-	switch t := t.(type) {
-	case IntT:
-	case ProdT:
-		w.typ(t.L)
-		w.typ(t.R)
-	case CodeT:
-		for _, tp := range t.TParams {
-			w.shTags = append(w.shTags, tp.Name)
-		}
-		w.shRegs = append(w.shRegs, t.RParams...)
-		for _, p := range t.Params {
-			w.typ(p)
-		}
-		w.shRegs = w.shRegs[:len(w.shRegs)-len(t.RParams)]
-		w.shTags = w.shTags[:len(w.shTags)-len(t.TParams)]
-	case ExistT:
-		w.shTags = append(w.shTags, t.Bound)
-		w.typ(t.Body)
-		w.shTags = w.shTags[:len(w.shTags)-1]
-	case AtT:
-		w.typ(t.Body)
-		w.region(t.R)
-	case MT:
-		w.regions(t.Rs)
-		w.tag(t.Tag)
-	case CT:
-		w.region(t.From)
-		w.region(t.To)
-		w.tag(t.Tag)
-	case AlphaT:
-		if !shadowed(w.shTyps, t.Name) {
-			w.fv.typs = appendName(w.fv.typs, t.Name)
-		}
-	case ExistAlphaT:
-		w.regions(t.Delta)
-		w.shTyps = append(w.shTyps, t.Bound)
-		w.typ(t.Body)
-		w.shTyps = w.shTyps[:len(w.shTyps)-1]
-	case TransT:
-		for _, tg := range t.Tags {
-			w.tag(tg)
-		}
-		w.regions(t.Rs)
-		for _, p := range t.Params {
-			w.typ(p)
-		}
-		w.region(t.R)
-	case LeftT:
-		w.typ(t.Body)
-	case RightT:
-		w.typ(t.Body)
-	case SumT:
-		w.typ(t.L)
-		w.typ(t.R)
-	case ExistRT:
-		w.regions(t.Delta)
-		w.shRegs = append(w.shRegs, t.Bound)
-		w.typ(t.Body)
-		w.shRegs = w.shRegs[:len(w.shRegs)-1]
-	default:
-		panic(fmt.Sprintf("gclang: unknown type %T", t))
-	}
-}
-
 // packFreeVars computes the free variables of a pack literal's annotation
-// — exactly the names cellOf's miss path can ask the frames for,
-// with the pack's own binder shadowed over the part it scopes (mirroring
-// the shadow pushes in cellOf).
+// — exactly the names cellOf's miss path can ask the frames for, with the
+// pack's own binder scoping its body as in cellOf. The payload is not
+// annotation: it is lowered as an operand of its own. freeAcc panics on a
+// syntax form it does not know, as the resolver does, so the set is never
+// under-approximated (which would let a stale descriptor validate). Each
+// namespace's names come sorted, so lowering is deterministic.
 func packFreeVars(v Value) freeVars {
-	var w fvWalker
+	fs, sc := newFreeSets(), newScopes()
+	a := &freeAcc{out: fs}
 	switch v := v.(type) {
 	case PackTag:
-		w.tag(v.Tag)
-		w.shTags = append(w.shTags, v.Bound)
-		w.typ(v.Body)
+		a.tag(v.Tag, sc)
+		sc.with(sc.tagvs, []names.Name{v.Bound}, func() { a.typ(v.Body, sc) })
 	case PackAlpha:
-		w.regions(v.Delta)
-		w.typ(v.Hidden)
-		w.shTyps = append(w.shTyps, v.Bound)
-		w.typ(v.Body)
+		a.regionList(v.Delta, sc)
+		a.typ(v.Hidden, sc)
+		sc.with(sc.types, []names.Name{v.Bound}, func() { a.typ(v.Body, sc) })
 	case PackRegion:
-		w.regions(v.Delta)
-		w.region(v.R)
-		w.shRegs = append(w.shRegs, v.Bound)
-		w.typ(v.Body)
+		a.regionList(v.Delta, sc)
+		a.region(v.R, sc)
+		sc.with(sc.regs, []names.Name{v.Bound}, func() { a.typ(v.Body, sc) })
 	case TAppV:
-		for _, t := range v.Tags {
-			w.tag(t)
-		}
-		w.regions(v.Rs)
+		a.tagList(v.Tags, sc)
+		a.regionList(v.Rs, sc)
 	default:
 		panic(fmt.Sprintf("gclang: free variables of non-pack value %T", v))
 	}
-	return w.fv
+	return freeVars{tags: sortedNames(fs.tagvs), regs: sortedNames(fs.regs), typs: sortedNames(fs.types)}
 }
 
 // tagIdentical is allocation-free structural identity on tags — stricter

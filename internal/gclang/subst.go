@@ -73,12 +73,7 @@ func (s *Subst) freeSets() *freeSets {
 	if s.avoid != nil {
 		return s.avoid
 	}
-	fs := &freeSets{
-		vals:  make(names.Set),
-		tagvs: make(names.Set),
-		regs:  make(names.Set),
-		types: make(names.Set),
-	}
+	fs := newFreeSets()
 	if s.Closed {
 		s.avoid = fs
 		return fs

@@ -115,7 +115,7 @@ func TestGeneratedPreservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d/%v: compile: %v", i, col, err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: 16, CheckEveryStep: true, Fuel: 3_000_000})
+			res, err := c.Run(psgc.RunOptions{Capacity: 16, Engine: psgc.EngineChecked, Fuel: 3_000_000})
 			if err != nil {
 				t.Fatalf("program %d/%v: preservation violated: %v\n%s", i, col, err, p)
 			}

@@ -23,7 +23,9 @@ func runReq(src, collector, pol string) RunRequest {
 // TestRunPolicyAdaptive drives the whole loop over HTTP: a cold adaptive
 // run falls back to the request's collector, static runs accumulate a
 // profile, and a warm adaptive run decides from it — with the decision
-// reported in the response and the value unchanged throughout.
+// reported in the response and the value unchanged throughout, and the
+// warm run's stats are those of a static run at the decided collector and
+// capacity.
 func TestRunPolicyAdaptive(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	want := 30 * 31 / 2
@@ -80,6 +82,20 @@ func TestRunPolicyAdaptive(t *testing.T) {
 	}
 	if n := s.Metrics().ProfiledRuns.Load(); n != 4 {
 		t.Fatalf("profiled runs %d, want 4 (every completed run feeds the store)", n)
+	}
+
+	// The decision is the whole of the policy's effect: a static run at the
+	// decided collector and capacity does exactly what the adaptive one did.
+	resp, body = postJSON(t, ts.URL+"/run", RunRequest{
+		CompileRequest: CompileRequest{Source: allocHeavy, Collector: d.Collector},
+		Capacity:       intp(d.Capacity),
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("static run at the decision: status %d: %s", resp.StatusCode, body)
+	}
+	if static := decode[RunResponse](t, body); static.Value != got.Value || static.Stats != got.Stats {
+		t.Fatalf("static run at %s/%d: value %d stats %+v; adaptive: value %d stats %+v",
+			d.Collector, d.Capacity, static.Value, static.Stats, got.Value, got.Stats)
 	}
 }
 

@@ -255,16 +255,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	j := &job{done: make(chan *response, 1), traceID: runTrace}
-	j.do = func() *response { return s.doResume(ck, req, runTrace, nil) }
-	if !s.enqueue(w, j) {
+	if !s.submit(w, r, runTrace, func() *response { return s.doResume(ck, req, runTrace, nil) }) {
 		s.releaseResume(key)
-		return
-	}
-	select {
-	case resp := <-j.done:
-		s.writeResponse(w, resp)
-	case <-r.Context().Done():
 	}
 }
 

@@ -119,7 +119,7 @@ do build 4
 		if err != nil {
 			t.Fatalf("%v: %v", col, err)
 		}
-		res, err := c.Run(RunOptions{Capacity: 16, CheckEveryStep: true, Fuel: 2_000_000})
+		res, err := c.Run(RunOptions{Capacity: 16, Engine: EngineChecked, Fuel: 2_000_000})
 		if err != nil {
 			t.Fatalf("%v: preservation/progress violated: %v", col, err)
 		}

@@ -47,23 +47,16 @@ func TestTailLoopRunsInConstantLiveData(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile: %v", tc.col, err)
 			}
-			var div *Divergence
-			res, err := c.Run(RunOptions{
-				Capacity:      64,
-				FixedCapacity: tc.fixed,
-				Backend:       regions.BackendArena,
-				CoCheck:       !testing.Short() || n < 10000,
-				OnDivergence: func(d Divergence) {
-					if div == nil {
-						div = &d
-					}
-				},
-			})
+			opts := RunOptions{Capacity: 64, FixedCapacity: tc.fixed, Backend: regions.BackendArena}
+			if !testing.Short() || n < 10000 {
+				opts.Engine = EngineCoChecked
+			}
+			res, err := c.Run(opts)
 			if err != nil {
 				t.Fatalf("%s loop %d: %v", tc.col, n, err)
 			}
-			if div != nil {
-				t.Fatalf("%s loop %d: co-check diverged: %v", tc.col, n, *div)
+			if res.Divergence != nil {
+				t.Fatalf("%s loop %d: co-check diverged: %v", tc.col, n, *res.Divergence)
 			}
 			if res.Value != want {
 				t.Fatalf("%s loop %d: value %d, reference %d", tc.col, n, res.Value, want)
