@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 
 	"psgc/internal/gclang"
 	"psgc/internal/regions"
+	"psgc/internal/slru"
 )
 
 // This file is the always-on half of the observability layer: a Profiler
@@ -376,25 +376,18 @@ type ProgramSummary struct {
 }
 
 type profileEntry struct {
-	hash      string
-	runs      int
-	aggs      map[string]*CollectorAgg
-	decision  any
-	protected bool
+	runs     int
+	aggs     map[string]*CollectorAgg
+	decision any
 }
 
 // ProfileStore holds per-program profile aggregates keyed by source hash,
-// bounded by a segmented LRU exactly like the service's compiled-program
-// cache: admissions land in probation, a second touch promotes to the
-// protected segment (capped at 80%), and eviction drains the probation
-// tail first. It is safe for concurrent use.
+// bounded by a segmented LRU (internal/slru) of program hashes: a hash is
+// admitted to probation on its first run and promoted to the protected
+// segment by its next run or lookup. It is safe for concurrent use.
 type ProfileStore struct {
-	mu        sync.Mutex
-	max       int
-	probation *list.List
-	protected *list.List
-	entries   map[string]*list.Element
-	evictions int64
+	mu  sync.Mutex
+	lru *slru.Cache[string, *profileEntry]
 }
 
 // DefaultProfileCapacity bounds the store when the capacity is left zero.
@@ -406,75 +399,20 @@ func NewProfileStore(max int) *ProfileStore {
 	if max <= 0 {
 		max = DefaultProfileCapacity
 	}
-	return &ProfileStore{
-		max:       max,
-		probation: list.New(),
-		protected: list.New(),
-		entries:   make(map[string]*list.Element),
-	}
-}
-
-// touch promotes or refreshes el, mirroring the SLRU discipline of the
-// compiled-program cache. Caller holds the lock.
-func (s *ProfileStore) touch(el *list.Element) {
-	e := el.Value.(*profileEntry)
-	if e.protected {
-		s.protected.MoveToFront(el)
-		return
-	}
-	s.probation.Remove(el)
-	e.protected = true
-	s.entries[e.hash] = s.protected.PushFront(e)
-	pc := protectedCapOf(s.max)
-	for s.protected.Len() > 1 && s.protected.Len() > pc {
-		back := s.protected.Back()
-		d := back.Value.(*profileEntry)
-		s.protected.Remove(back)
-		d.protected = false
-		s.entries[d.hash] = s.probation.PushFront(d)
-	}
-}
-
-func protectedCapOf(budget int) int {
-	c := int(0.8 * float64(budget))
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return &ProfileStore{lru: slru.New[string, *profileEntry](max, 0)}
 }
 
 // Update folds one run profile into the aggregate for (hash, collector),
-// admitting the hash if new and evicting from the probation tail if over
-// capacity.
+// promoting a known hash, or admitting a new one and evicting from the
+// probation tail if over capacity.
 func (s *ProfileStore) Update(hash, collector string, rp RunProfile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[hash]
+	e, ok := s.lru.Get(hash)
 	if !ok {
-		e := &profileEntry{hash: hash, aggs: make(map[string]*CollectorAgg, 3)}
-		el = s.probation.PushFront(e)
-		s.entries[hash] = el
-		for s.probation.Len()+s.protected.Len() > s.max {
-			victim := s.probation.Back()
-			if victim == el || victim == nil {
-				victim = s.protected.Back()
-			}
-			if victim == nil || victim == el {
-				break
-			}
-			d := victim.Value.(*profileEntry)
-			if d.protected {
-				s.protected.Remove(victim)
-			} else {
-				s.probation.Remove(victim)
-			}
-			delete(s.entries, d.hash)
-			s.evictions++
-		}
-	} else {
-		s.touch(el)
+		e = &profileEntry{aggs: make(map[string]*CollectorAgg, 3)}
+		s.lru.Add(hash, e, 1)
 	}
-	e := el.Value.(*profileEntry)
 	e.runs++
 	agg, ok := e.aggs[collector]
 	if !ok {
@@ -490,13 +428,13 @@ func (s *ProfileStore) Update(hash, collector string, rp RunProfile) {
 func (s *ProfileStore) SetDecision(hash string, d any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[hash]; ok {
-		el.Value.(*profileEntry).decision = d
+	if e, ok := s.lru.Peek(hash); ok {
+		e.decision = d
 	}
 }
 
-func summarize(e *profileEntry) ProgramSummary {
-	out := ProgramSummary{Hash: e.hash, Runs: e.runs, Decision: e.decision}
+func summarize(hash string, e *profileEntry) ProgramSummary {
+	out := ProgramSummary{Hash: hash, Runs: e.runs, Decision: e.decision}
 	for _, a := range e.aggs {
 		out.Collectors = append(out.Collectors, *a)
 	}
@@ -506,18 +444,16 @@ func summarize(e *profileEntry) ProgramSummary {
 	return out
 }
 
-// Lookup returns a copy of the aggregate for hash, refreshing its recency
-// (a looked-up profile is about to inform a decision — it has earned
-// protection exactly like a cache hit).
+// Lookup returns a copy of the aggregate for hash, promoting it like a
+// run would (a looked-up profile is about to inform a decision).
 func (s *ProfileStore) Lookup(hash string) (ProgramSummary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[hash]
+	e, ok := s.lru.Get(hash)
 	if !ok {
 		return ProgramSummary{}, false
 	}
-	s.touch(el)
-	return summarize(el.Value.(*profileEntry)), true
+	return summarize(hash, e), true
 }
 
 // Snapshot returns up to topN summaries in recency order (protected
@@ -526,11 +462,13 @@ func (s *ProfileStore) Snapshot(topN int) []ProgramSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ProgramSummary, 0, topN)
-	for _, l := range []*list.List{s.protected, s.probation} {
-		for el := l.Front(); el != nil && len(out) < topN; el = el.Next() {
-			out = append(out, summarize(el.Value.(*profileEntry)))
+	s.lru.Walk(func(hash string, e *profileEntry) bool {
+		if len(out) == topN {
+			return false
 		}
-	}
+		out = append(out, summarize(hash, e))
+		return true
+	})
 	return out
 }
 
@@ -538,19 +476,19 @@ func (s *ProfileStore) Snapshot(topN int) []ProgramSummary {
 func (s *ProfileStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probation.Len() + s.protected.Len()
+	return s.lru.Len()
 }
 
 // Evictions reports the cumulative eviction count.
 func (s *ProfileStore) Evictions() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.evictions
+	return s.lru.Evictions()
 }
 
 // Segments reports (probation, protected) entry counts for healthz.
 func (s *ProfileStore) Segments() (probation, protected int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probation.Len(), s.protected.Len()
+	return s.lru.Segments()
 }

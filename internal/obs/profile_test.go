@@ -206,6 +206,33 @@ func TestProfileStoreEviction(t *testing.T) {
 	}
 }
 
+// TestProfileStoreUpdatePromotes: a hash's second run promotes it to the
+// protected segment, where an admission storm cannot evict it.
+func TestProfileStoreUpdatePromotes(t *testing.T) {
+	s := obs.NewProfileStore(4)
+	rp := obs.RunProfile{Steps: 1}
+	s.Update("hot", "basic", rp)
+	if prob, prot := s.Segments(); prob != 1 || prot != 0 {
+		t.Fatalf("segments after first run = (%d,%d), want (1,0)", prob, prot)
+	}
+	s.Update("hot", "basic", rp)
+	if prob, prot := s.Segments(); prob != 0 || prot != 1 {
+		t.Fatalf("segments after second run = (%d,%d), want (0,1)", prob, prot)
+	}
+	for i := 0; i < 8; i++ {
+		s.Update(fmt.Sprintf("cold%d", i), "basic", rp)
+	}
+	if sum, ok := s.Lookup("hot"); !ok || sum.Runs != 2 {
+		t.Errorf("hot = %+v (ok %v), want it resident with 2 runs", sum, ok)
+	}
+	if got := s.Evictions(); got != 5 {
+		t.Errorf("evictions = %d, want 5", got)
+	}
+	if err := s.Coherent(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestProfileStoreDecision pins the healthz exposure path: a recorded
 // decision rides along in lookups and snapshots.
 func TestProfileStoreDecision(t *testing.T) {
@@ -256,5 +283,8 @@ func TestProfileStoreConcurrent(t *testing.T) {
 	wg.Wait()
 	if s.Len() > 16 {
 		t.Fatalf("store over capacity: %d", s.Len())
+	}
+	if err := s.Coherent(); err != nil {
+		t.Fatalf("store incoherent after concurrent use: %v", err)
 	}
 }

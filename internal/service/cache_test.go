@@ -6,6 +6,7 @@ import (
 
 	"psgc"
 	"psgc/internal/gclang"
+	"psgc/internal/obs"
 )
 
 // compiledOfLets builds a *psgc.Compiled whose program is a chain of n
@@ -20,6 +21,18 @@ func compiledOfLets(n int) *psgc.Compiled {
 }
 
 func key(i int) cacheKey { return keyFor(fmt.Sprintf("src-%d", i), psgc.Basic) }
+
+// coherent re-derives the SLRU invariants, for these tests and the chaos
+// suite.
+func (c *compiledCache) coherent() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Coherent()
+}
+
+// The SLRU algorithm is tested in internal/slru; these tests pin what the
+// service adds: each entry weighs its λGC program's ProgramSize, and a
+// refresh (add on a present key) does not promote.
 
 func TestCacheWeightEvictsInLRUOrder(t *testing.T) {
 	small := compiledOfLets(1) // weight 5
@@ -42,8 +55,8 @@ func TestCacheWeightEvictsInLRUOrder(t *testing.T) {
 			t.Errorf("entry %d cached = %v, want %v (LRU order violated)", i, ok, want)
 		}
 	}
-	if got := c.totalWeight(); got > 4*sw {
-		t.Errorf("weight %d over budget %d", got, 4*sw)
+	if _, got, _, _ := c.stats(); got != sw+gclang.ProgramSize(big.Prog) {
+		t.Errorf("weight %d, want %d (one small entry and the big one)", got, sw+gclang.ProgramSize(big.Prog))
 	}
 }
 
@@ -58,144 +71,40 @@ func TestCacheOversizedNewestStays(t *testing.T) {
 	if ev := c.add(key(2), huge, nil); ev != 2 {
 		t.Fatalf("huge add evicted %d, want 2", ev)
 	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
+	if n, _, _, _ := c.stats(); n != 1 {
+		t.Fatalf("len = %d, want 1", n)
 	}
 	if _, _, ok := c.get(key(2)); !ok {
 		t.Fatal("oversized newest entry was evicted")
 	}
 }
 
-func TestCacheEntryCapWithoutWeightBudget(t *testing.T) {
-	c := newCompiledCache(2, 0) // weight budget disabled
-	c.add(key(0), compiledOfLets(50), nil)
-	c.add(key(1), compiledOfLets(50), nil)
-	if ev := c.add(key(2), compiledOfLets(50), nil); ev != 1 {
-		t.Fatalf("evicted %d, want 1", ev)
-	}
-	if _, _, ok := c.get(key(0)); ok {
-		t.Error("LRU entry survived entry-cap eviction")
-	}
-}
-
-func TestCacheGetPromotes(t *testing.T) {
-	small := compiledOfLets(1)
-	c := newCompiledCache(2, 0)
-	c.add(key(0), small, nil)
-	c.add(key(1), small, nil)
-	c.get(key(0)) // key 0 is now most recently used
-	c.add(key(2), small, nil)
-	if _, _, ok := c.get(key(0)); !ok {
-		t.Error("recently used entry evicted")
-	}
-	if _, _, ok := c.get(key(1)); ok {
-		t.Error("least recently used entry survived")
-	}
-}
-
-// TestCacheSegmentation pins the SLRU mechanics: admissions land in
-// probation, a hit promotes to protected, and protected overflow demotes
-// back to probation rather than evicting.
-func TestCacheSegmentation(t *testing.T) {
-	small := compiledOfLets(1)
-	c := newCompiledCache(10, 0)
-	for i := 0; i < 4; i++ {
-		c.add(key(i), small, nil)
-	}
-	if prob, prot, _ := c.segments(); prob != 4 || prot != 0 {
-		t.Fatalf("segments after adds = (%d,%d), want (4,0)", prob, prot)
-	}
-	c.get(key(1))
-	c.get(key(2))
-	prob, prot, protW := c.segments()
-	if prob != 2 || prot != 2 {
-		t.Fatalf("segments after two hits = (%d,%d), want (2,2)", prob, prot)
-	}
-	if want := 2 * gclang.ProgramSize(small.Prog); protW != want {
-		t.Errorf("protected weight = %d, want %d", protW, want)
-	}
-	// protected cap for max=10 is 8 entries; promote more than that and the
-	// LRU protected entries must fall back to probation, not disappear.
-	c = newCompiledCache(10, 0)
-	for i := 0; i < 10; i++ {
-		c.add(key(i), small, nil)
-		c.get(key(i))
-	}
-	prob, prot, _ = c.segments()
-	if prot != 8 || prob != 2 {
-		t.Errorf("segments after 10 promotions = (%d,%d), want (2,8)", prob, prot)
-	}
-	if c.len() != 10 {
-		t.Errorf("len = %d, want 10 (demotion must not evict)", c.len())
-	}
-	if err := c.coherent(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCacheStormSparesProtected is the property the SLRU upgrade buys:
-// an eviction storm (the cache.evict fault) flushes probation but cannot
-// touch entries with demonstrated reuse.
-func TestCacheStormSparesProtected(t *testing.T) {
-	small := compiledOfLets(1)
-	c := newCompiledCache(10, 0)
-	for i := 0; i < 6; i++ {
-		c.add(key(i), small, nil)
-	}
-	c.get(key(0)) // the one hot program
-	if ev := c.storm(); ev != 5 {
-		t.Fatalf("storm evicted %d, want the 5 probationary entries", ev)
-	}
-	if _, _, ok := c.get(key(0)); !ok {
-		t.Error("hot (protected) entry lost to the storm")
-	}
-	for i := 1; i < 6; i++ {
-		if _, _, ok := c.get(key(i)); ok {
-			t.Errorf("probationary entry %d survived the storm", i)
-		}
-	}
-	if err := c.coherent(); err != nil {
-		t.Error(err)
-	}
-	if got := c.totalWeight(); got != gclang.ProgramSize(small.Prog) {
-		t.Errorf("weight after storm = %d, want one entry's worth", got)
-	}
-}
-
-// TestCacheProtectedSpillsWhenProbationEmpty covers the eviction edge
-// where the only probationary entry is the fresh admission: the spill
-// must come from the protected tail, never the new entry.
-func TestCacheProtectedSpillsWhenProbationEmpty(t *testing.T) {
-	small := compiledOfLets(1)
-	c := newCompiledCache(2, 0)
-	c.add(key(0), small, nil)
-	c.get(key(0))
-	c.add(key(1), small, nil)
-	c.get(key(1)) // both cached entries now protected
-	if ev := c.add(key(2), small, nil); ev != 1 {
-		t.Fatalf("evicted %d, want 1", ev)
-	}
-	if _, _, ok := c.get(key(2)); !ok {
-		t.Error("fresh admission was evicted")
-	}
-	if _, _, ok := c.get(key(0)); ok {
-		t.Error("protected LRU entry survived a full-cache admission")
-	}
-	if err := c.coherent(); err != nil {
-		t.Error(err)
-	}
-}
-
+// TestCacheRefreshAdjustsWeight: re-adding a cached program replaces it
+// and its compile spans in place, re-weighed by its new ProgramSize and
+// without promotion; only a get earns protection.
 func TestCacheRefreshAdjustsWeight(t *testing.T) {
 	c := newCompiledCache(10, 0)
 	c.add(key(0), compiledOfLets(10), nil)
-	w1 := c.totalWeight()
-	c.add(key(0), compiledOfLets(2), nil) // refresh with a smaller program
-	w2 := c.totalWeight()
+	_, w1, _, _ := c.stats()
+	spans := []obs.PhaseSpan{{Phase: "parse"}}
+	c.add(key(0), compiledOfLets(2), spans) // refresh with a smaller program
+	n, w2, prob, prot := c.stats()
 	if want := gclang.ProgramSize(compiledOfLets(2).Prog); w2 != want {
 		t.Errorf("weight after refresh = %d, want %d (was %d)", w2, want, w1)
 	}
-	if c.len() != 1 {
-		t.Errorf("len = %d, want 1", c.len())
+	if n != 1 {
+		t.Errorf("len = %d, want 1", n)
+	}
+	if prob != 1 || prot != 0 {
+		t.Errorf("segments after refresh = (%d,%d), want (1,0)", prob, prot)
+	}
+	if _, got, ok := c.get(key(0)); !ok || len(got) != 1 || got[0].Phase != "parse" {
+		t.Errorf("get after refresh = spans %+v, ok %v; want the refreshed spans", got, ok)
+	}
+	if _, _, prob, prot := c.stats(); prob != 0 || prot != 1 {
+		t.Errorf("segments after get = (%d,%d), want (0,1)", prob, prot)
+	}
+	if err := c.coherent(); err != nil {
+		t.Error(err)
 	}
 }

@@ -11,6 +11,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -257,13 +258,34 @@ func TestChaosWatchdogStallStorm(t *testing.T) {
 		t.Errorf("watchdog stalls = %d, want 3", got)
 	}
 
+	// Both workers must be back: one concurrent run each. The program
+	// (265 steps, no collection at capacity 0) ends before the watchdog's
+	// first Progress tick, so the watchdog cannot cut it however slow the
+	// host is, and the stall count must stay at the storm's 3.
 	fault.Install(nil)
-	status, body := postJSONNoFatal(ts.URL+"/run", RunRequest{
-		CompileRequest: CompileRequest{Source: allocHeavy},
-		Capacity:       intp(40),
-	})
-	if status != http.StatusOK {
-		t.Fatalf("pool did not survive the stall storm: %d: %s", status, body)
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body := postJSONNoFatal(ts.URL+"/run", RunRequest{
+				CompileRequest: CompileRequest{Source: "fun sum (n : int) : int = if0 n then 0 else n + sum (n - 1)\ndo sum 5"},
+				Capacity:       intp(0),
+			})
+			var rr RunResponse
+			if status != http.StatusOK || json.Unmarshal(body, &rr) != nil || rr.Value != 15 {
+				errs <- fmt.Sprintf("%d: %s", status, body)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Errorf("pool did not survive the stall storm: %s", e)
+	}
+	if got := s.metrics.WatchdogStalls.Load(); got != 3 {
+		t.Errorf("watchdog stalls after the storm = %d, want 3", got)
 	}
 }
 
@@ -299,7 +321,7 @@ func TestChaosStormCoherenceConcurrent(t *testing.T) {
 	if err := s.cache.coherent(); err != nil {
 		t.Errorf("cache incoherent after concurrent storms: %v", err)
 	}
-	if got := s.cache.len(); got > 6 {
+	if got, _, _, _ := s.cache.stats(); got > 6 {
 		t.Errorf("cache holds %d entries, cap is 6", got)
 	}
 }

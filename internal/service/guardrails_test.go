@@ -259,8 +259,12 @@ func TestCoCheckDivergenceOnPartialRun(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
 	}
-	if eb := decode[errorBody](t, body); eb.Partial == nil || eb.Partial.Steps != fuel {
+	eb := decode[errorBody](t, body)
+	if eb.Partial == nil || eb.Partial.Steps != fuel {
 		t.Errorf("partial %+v, want %d steps", eb.Partial, fuel)
+	}
+	if !eb.Diverged || eb.Engine != "subst" {
+		t.Errorf("partial body reports diverged %v engine %q, want true and subst", eb.Diverged, eb.Engine)
 	}
 	if got := s.metrics.CoCheckDivergences.Load(); got != 1 {
 		t.Errorf("divergence counter = %d, want 1", got)

@@ -609,6 +609,10 @@ type errorBody struct {
 	// Trace carries the timeline recorded up to the point a traced run
 	// was cut off by its fuel budget.
 	Trace *TraceReport `json:"trace,omitempty"`
+	// Engine and Diverged report a partial co-checked run's lockstep, as
+	// RunResponse does for a completed one.
+	Engine   string `json:"engine,omitempty"`
+	Diverged bool   `json:"diverged,omitempty"`
 }
 
 // ---------------------------------------------------------------------------
@@ -1062,16 +1066,20 @@ func (s *Server) execute(x *execution) *response {
 		report = &TraceReport{Pipeline: x.spans, Timeline: opts.Recorder.Timeline()}
 	}
 	if err != nil {
+		partial := statsOf(res)
+		eb := errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID, Trace: report}
+		if coChecked {
+			// A co-checked run cut short still reports what the lockstep
+			// saw so far: which engine it ended on and whether they diverged.
+			eb.Engine, eb.Diverged = x.engine.String(), res.Divergence != nil
+		}
 		if errors.Is(err, psgc.ErrOutOfFuel) {
 			// The deadline (as a fuel budget) expired: report the
 			// partial execution so the client can see how far it got.
 			s.metrics.Deadlines.Add(1)
-			partial := statsOf(res)
-			return &response{status: http.StatusGatewayTimeout,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID, Trace: report}}
+			return &response{status: http.StatusGatewayTimeout, body: eb}
 		}
 		if errors.Is(err, psgc.ErrCanceled) {
-			partial := statsOf(res)
 			if stalled {
 				s.metrics.WatchdogStalls.Add(1)
 				detail := fmt.Sprintf("cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs)
@@ -1081,15 +1089,14 @@ func (s *Server) execute(x *execution) *response {
 				s.guard.incidents.Record(obs.Incident{
 					Kind: "watchdog_stall", TraceID: x.traceID, Subject: x.hash, Detail: detail,
 				})
-				return &response{status: http.StatusGatewayTimeout,
-					body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
-						Partial: &partial, TraceID: x.traceID, Trace: report}}
+				eb.Error = fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs)
+				return &response{status: http.StatusGatewayTimeout, body: eb}
 			}
 			// The streaming client went away mid-run; nobody is left to
 			// read this, but classify it as a client-side termination.
 			s.metrics.Canceled.Add(1)
-			return &response{status: statusClientClosedRequest,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: x.traceID}}
+			eb.Trace = nil
+			return &response{status: statusClientClosedRequest, body: eb}
 		}
 		if errors.Is(err, psgc.ErrCheckpointed) {
 			// POST /snapshot paused this run at a progress tick; the
@@ -1296,7 +1303,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.overloaded() {
 		degradation = "shedding_observability"
 	}
-	probation, protected, _ := s.cache.segments()
+	entries, weight, probation, protected := s.cache.stats()
 	body := map[string]any{
 		"status": status,
 		// What this node is running and defaulting to (PR 6): when a
@@ -1318,8 +1325,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"workers":         s.cfg.Workers,
 		"queue_depth":     s.metrics.QueueDepth.Load(),
 		"queue_capacity":  s.cfg.QueueDepth,
-		"cache_entries":   s.cache.len(),
-		"cache_weight":    s.cache.totalWeight(),
+		"cache_entries":   entries,
+		"cache_weight":    weight,
 		"cache_probation": probation,
 		"cache_protected": protected,
 		// Guardrail state (PR 5): the co-check sample rate (live value —

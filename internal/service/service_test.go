@@ -184,6 +184,9 @@ func TestDeadlineExceededRun(t *testing.T) {
 	if eb.Partial.Steps != 10 {
 		t.Errorf("partial steps = %d, want the 10-step budget", eb.Partial.Steps)
 	}
+	if eb.Engine != "" || eb.Diverged {
+		t.Errorf("a run that was not co-checked reports engine %q diverged %v", eb.Engine, eb.Diverged)
+	}
 	if got := s.metrics.Deadlines.Load(); got != 1 {
 		t.Errorf("deadline counter = %d, want 1", got)
 	}
